@@ -203,7 +203,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         "run" => run(&flags),
         "run3d" => run3d(&flags),
         "multi" => multi(&flags),
-        "demo" => demo(),
+        "demo" => flags.finish().and_then(|()| demo()),
         "fig7" => fig(&flags, Fig::Seven),
         "fig8" => fig(&flags, Fig::Eight),
         "fig9" => fig(&flags, Fig::Nine),
@@ -237,6 +237,7 @@ fn run(flags: &Flags) -> Result<(), String> {
     let every: u64 = flags.get("every", 10)?;
     let watch = flags.has("watch");
     let show_heatmap = flags.has("heatmap");
+    flags.finish()?;
 
     let params = Params::from_milli(l, rs, v).map_err(|e| e.to_string())?;
     let config = SystemConfig::new(GridDims::square(n), CellId::new(1, n - 1), params)
@@ -295,6 +296,7 @@ fn run3d(flags: &Flags) -> Result<(), String> {
     let l: i64 = flags.get("l", 200)?;
     let rs: i64 = flags.get("rs", 50)?;
     let v: i64 = flags.get("v", 150)?;
+    flags.finish()?;
     let params = Params::from_milli(l, rs, v).map_err(|e| e.to_string())?;
     let config = SystemConfig3::new(
         Dims3::new(n, n, nz),
@@ -328,6 +330,7 @@ fn multi(flags: &Flags) -> Result<(), String> {
     }
     let rounds: u64 = flags.get("rounds", 2_000)?;
     let capacity: usize = flags.get("capacity", 1)?;
+    flags.finish()?;
     let params = Params::from_milli(200, 50, 150).expect("static parameters are valid");
     let mid = n / 2;
     let config = MultiConfig::new(GridDims::square(n), params)
@@ -381,12 +384,14 @@ fn fig(flags: &Flags, which: Fig) -> Result<(), String> {
     match which {
         Fig::Seven => {
             let k: u64 = flags.get("rounds", 2_500)?;
+            flags.finish()?;
             let series = cellflow_bench::fig7(k, threads);
             println!("Figure 7: throughput vs rs (8×8, l=0.25, K={k})\n");
             println!("{}", format_table("rs", &series));
         }
         Fig::Eight => {
             let k: u64 = flags.get("rounds", 2_500)?;
+            flags.finish()?;
             let series = cellflow_bench::fig8(k, threads);
             println!("Figure 8: throughput vs turns (8×8, rs=0.05, K={k})\n");
             println!("{}", format_table("turns", &series));
@@ -394,6 +399,7 @@ fn fig(flags: &Flags, which: Fig) -> Result<(), String> {
         Fig::Nine => {
             let k: u64 = flags.get("rounds", 20_000)?;
             let seeds: u64 = flags.get("seeds", 3)?;
+            flags.finish()?;
             let series = cellflow_bench::fig9(k, threads, seeds);
             println!("Figure 9: throughput vs pf (8×8, rs=0.05, l=0.2, v=0.2, K={k})\n");
             println!("{}", format_table("pf", &series));
@@ -404,6 +410,7 @@ fn fig(flags: &Flags, which: Fig) -> Result<(), String> {
 
 fn paths(flags: &Flags) -> Result<(), String> {
     let k: u64 = flags.get("rounds", 2_500)?;
+    flags.finish()?;
     let series = cellflow_bench::path_length(k, default_threads());
     println!("Throughput vs straight path length (8×8, l=0.25, rs=0.05, v=0.2, K={k})\n");
     println!("{}", format_table("len", &[series]));
@@ -416,6 +423,7 @@ fn mc(flags: &Flags) -> Result<(), String> {
     let recovery = flags.has("recovery");
     let capacity: u32 = flags.get("capacity", 0)?;
     let cut = flags.has("cut");
+    flags.finish()?;
 
     let mut config = SystemConfig::new(
         GridDims::new(3, 1),
@@ -588,6 +596,9 @@ fn chaos(flags: &Flags) -> Result<(), String> {
     };
     let plan = FaultPlan::random_campaign(&config, &spec, seed);
     let recording_to = crate::record::record_flags(flags)?;
+    let campaign = campaign_telemetry(flags, "chaos")?;
+    let traced = flags.has("trace");
+    flags.finish()?;
     let recorder = match &recording_to {
         Some((_, interval)) => {
             let sc = crate::record::RecScenario::Chaos {
@@ -634,7 +645,6 @@ fn chaos(flags: &Flags) -> Result<(), String> {
          (quiet after round {active})"
     );
 
-    let campaign = campaign_telemetry(flags, "chaos")?;
     let monitors = standard_monitors(&config);
     let mut net = NetSystem::new(config.clone())
         .map_err(|e| e.to_string())?
@@ -644,7 +654,7 @@ fn chaos(flags: &Flags) -> Result<(), String> {
     if let Some(ct) = &campaign {
         net = net.with_telemetry(std::sync::Arc::clone(&ct.telemetry));
     }
-    if flags.has("trace") {
+    if traced {
         net = net.with_tracer(cellflow_telemetry::Tracer::new(seed));
     }
     let (report, recording) = match net.run_monitored_recorded(rounds, monitors, recorder) {
@@ -783,6 +793,8 @@ fn cascade(flags: &Flags) -> Result<(), String> {
     if backoff_on && restart > 0 {
         return Err("--backoff and --restart are exclusive mitigation modes".into());
     }
+    let recording_to = crate::record::record_flags(flags)?;
+    flags.finish()?;
 
     let params = Params::from_milli(250, 50, 200).expect("static parameters are valid");
     let config = SystemConfig::new(GridDims::square(n), CellId::new(1, n - 1), params)
@@ -822,7 +834,6 @@ fn cascade(flags: &Flags) -> Result<(), String> {
         settle: bound + 2,
         workers: shard_workers.max(1),
     };
-    let recording_to = crate::record::record_flags(flags)?;
     let recorder = match &recording_to {
         Some((_, interval)) => {
             let sc = crate::record::RecScenario::Cascade {
@@ -1090,6 +1101,8 @@ fn partition(flags: &Flags, spec: &str) -> Result<(), String> {
         .with_source(CellId::new(1, 0));
     let bound = stabilization_bound(&config);
     let settle: u64 = flags.get("settle", bound + 2)?;
+    let recording_to = crate::record::record_flags(flags)?;
+    flags.finish()?;
     let plan = parse_partition_spec(spec, GridDims::square(n), start, heal, seed)?;
 
     let heal_text = match heal {
@@ -1109,7 +1122,6 @@ fn partition(flags: &Flags, spec: &str) -> Result<(), String> {
         settle,
         workers: shard_workers.max(1),
     };
-    let recording_to = crate::record::record_flags(flags)?;
     let recorder = match &recording_to {
         Some((_, interval)) => {
             let sc = crate::record::RecScenario::Partition {
@@ -1232,6 +1244,10 @@ fn stabilize(flags: &Flags) -> Result<(), String> {
         return Err("--active must be at least 6".into());
     }
     let timeout_ms: u64 = flags.get("timeout-ms", 5_000)?;
+    let campaign = campaign_telemetry(flags, "stabilize")?;
+    let traced = flags.has("trace");
+    let recording_to = crate::record::record_flags(flags)?;
+    flags.finish()?;
 
     let params = Params::from_milli(250, 50, 200).expect("static parameters are valid");
     let config = SystemConfig::new(GridDims::square(n), CellId::new(1, n - 1), params)
@@ -1296,7 +1312,6 @@ fn stabilize(flags: &Flags) -> Result<(), String> {
         Box::new(ConservationMonitor::new()),
         Box::new(StabilizationMonitor::new(&config).with_probe(&probe)),
     ];
-    let campaign = campaign_telemetry(flags, "stabilize")?;
     let mut net = NetSystem::new(config)
         .map_err(|e| e.to_string())?
         .with_plan(net_plan)
@@ -1310,10 +1325,9 @@ fn stabilize(flags: &Flags) -> Result<(), String> {
     if let Some(ct) = &campaign {
         net = net.with_telemetry(Arc::clone(&ct.telemetry));
     }
-    if flags.has("trace") {
+    if traced {
         net = net.with_tracer(cellflow_telemetry::Tracer::new(seed));
     }
-    let recording_to = crate::record::record_flags(flags)?;
     let recorder = match &recording_to {
         Some((_, interval)) => {
             let sc = crate::record::RecScenario::Stabilize {
@@ -1476,6 +1490,8 @@ fn metrics(flags: &Flags) -> Result<(), String> {
     let seed: u64 = flags.get("seed", 1)?;
     let out: String = flags.get("out", String::new())?;
     let trace_out: String = flags.get("trace-out", String::new())?;
+    let prom = flags.has("prom");
+    flags.finish()?;
 
     let params = Params::from_milli(250, 50, 200).expect("static parameters are valid");
     let config = SystemConfig::new(GridDims::square(n), CellId::new(1, n - 1), params)
@@ -1523,7 +1539,7 @@ fn metrics(flags: &Flags) -> Result<(), String> {
         100.0 * active as f64 / total as f64
     );
     println!("{}", report::render_tables(&snapshot));
-    if flags.has("prom") {
+    if prom {
         println!("{}", prometheus::render(&snapshot));
     }
     if !out.is_empty() {
@@ -1548,6 +1564,7 @@ fn inspect(args: &[String]) -> Result<(), String> {
     };
     let flags = Flags::parse(&args[1..])?;
     let rows: usize = flags.get("rows", 40)?;
+    flags.finish()?;
     // Recordings are binary — route them before the text read.
     if path.ends_with(".rec") {
         return crate::record::inspect_rec(path);
@@ -1609,6 +1626,7 @@ fn trace(args: &[String]) -> Result<(), String> {
     // Round tags are 1-based in the stream, so 0 doubles as "no filter".
     let round: u64 = flags.get("round", 0)?;
     let wall = flags.has("wall");
+    flags.finish()?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let parsed = Trace::parse(&text).map_err(|(line, msg)| format!("{path}:{line}: {msg}"))?;
     if parsed.spans.is_empty() {
@@ -1629,6 +1647,7 @@ fn bench(flags: &Flags) -> Result<(), String> {
         // Regression mode: rerun every matrix in quick mode and compare
         // against the committed baselines inside the tolerance bands.
         let dir: String = flags.get("baseline-dir", ".".to_string())?;
+        flags.finish()?;
         eprintln!("bench --check: comparing fresh quick runs against baselines in {dir}/ ...");
         let report = cellflow_bench::check::run(std::path::Path::new(&dir))?;
         print!("{}", report.render());
@@ -1642,6 +1661,11 @@ fn bench(flags: &Flags) -> Result<(), String> {
         };
     }
     let out: String = flags.get("out", "BENCH_PR3.json".to_string())?;
+    let tel_out: String = flags.get("telemetry-out", "BENCH_PR5.json".to_string())?;
+    let mega_out: String = flags.get("mega-out", "BENCH_PR8.json".to_string())?;
+    let trace_out: String = flags.get("trace-overhead-out", "BENCH_PR9.json".to_string())?;
+    let rec_out: String = flags.get("recording-overhead-out", "BENCH_PR10.json".to_string())?;
+    flags.finish()?;
     eprintln!(
         "running {} bench matrix (grids {:?})...",
         if quick { "quick" } else { "full" },
@@ -1666,7 +1690,6 @@ fn bench(flags: &Flags) -> Result<(), String> {
     std::fs::write(&out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
     println!("wrote {out}");
 
-    let tel_out: String = flags.get("telemetry-out", "BENCH_PR5.json".to_string())?;
     eprintln!("running telemetry overhead matrix...");
     let overhead = cellflow_bench::telemetry_overhead::run(quick);
     println!(
@@ -1683,7 +1706,6 @@ fn bench(flags: &Flags) -> Result<(), String> {
         .map_err(|e| format!("writing {tel_out}: {e}"))?;
     println!("wrote {tel_out}");
 
-    let mega_out: String = flags.get("mega-out", "BENCH_PR8.json".to_string())?;
     eprintln!(
         "running {} mega-grid matrix (sparse vs dense, sharded scaling)...",
         if quick { "quick (128\u{b2} cap)" } else { "full (up to 1024\u{b2})" }
@@ -1713,7 +1735,6 @@ fn bench(flags: &Flags) -> Result<(), String> {
         .map_err(|e| format!("writing {mega_out}: {e}"))?;
     println!("wrote {mega_out}");
 
-    let trace_out: String = flags.get("trace-overhead-out", "BENCH_PR9.json".to_string())?;
     eprintln!("running causal-tracing overhead matrix...");
     let trace = cellflow_bench::trace_overhead::run(quick);
     println!(
@@ -1730,7 +1751,6 @@ fn bench(flags: &Flags) -> Result<(), String> {
         .map_err(|e| format!("writing {trace_out}: {e}"))?;
     println!("wrote {trace_out}");
 
-    let rec_out: String = flags.get("recording-overhead-out", "BENCH_PR10.json".to_string())?;
     eprintln!("running flight-recording overhead matrix...");
     let recording = cellflow_bench::recording_overhead::run(quick);
     println!(

@@ -626,6 +626,7 @@ pub fn record(flags: &Flags) -> Result<(), String> {
     let seed: u64 = flags.get("seed", 1)?;
     let interval: u64 = flags.get("keyframe-interval", DEFAULT_KEYFRAME_INTERVAL)?;
     let out: String = flags.get("record-out", "run.rec".to_string())?;
+    flags.finish()?;
 
     println!("recording: {}", scenario.render());
     let bytes = scenario.drive(seed, interval)?;
@@ -873,10 +874,11 @@ fn two_paths<'a>(args: &'a [String], usage: &str) -> Result<(&'a str, &'a str, F
 pub fn diff(args: &[String]) -> Result<(), String> {
     let (path_a, path_b, flags) =
         two_paths(args, "diff needs two files: cellflow diff <a.rec> <b.rec> [--round R]")?;
+    let round: u64 = flags.get("round", u64::MAX)?;
+    flags.finish()?;
     let (_, a) = load(path_a)?;
     let (_, b) = load(path_b)?;
     let dims = check_comparable(path_a, &a, path_b, &b)?;
-    let round: u64 = flags.get("round", u64::MAX)?;
 
     let at = if round != u64::MAX {
         round
@@ -911,8 +913,9 @@ pub fn diff(args: &[String]) -> Result<(), String> {
 /// round, cell, and register, render the full register diff there, and
 /// dump the preceding rounds through the flight ring.
 pub fn bisect(args: &[String]) -> Result<(), String> {
-    let (path_a, path_b, _) =
+    let (path_a, path_b, flags) =
         two_paths(args, "bisect needs two files: cellflow bisect <a.rec> <b.rec>")?;
+    flags.finish()?;
     let (_, a) = load(path_a)?;
     let (_, b) = load(path_b)?;
     let dims = check_comparable(path_a, &a, path_b, &b)?;

@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use cellflow_grid::{connectivity, CellId};
 use cellflow_routing::{route_update, Dist};
 
-use crate::{SystemConfig, SystemState};
+use crate::{CellState, SystemConfig, SystemState};
 
 /// The set `F(x)` of currently failed cells.
 pub fn failed_set(config: &SystemConfig, state: &SystemState) -> HashSet<CellId> {
@@ -51,6 +51,17 @@ pub fn tc(config: &SystemConfig, state: &SystemState) -> HashSet<CellId> {
 /// ```
 pub fn routing_stabilized(config: &SystemConfig, state: &SystemState) -> bool {
     let dims = config.dims();
+    let want = stable_routes(config, state);
+    dims.iter()
+        .enumerate()
+        .all(|(k, id)| cell_route_stable(config, id, &state.cells[k], want[k]))
+}
+
+/// The stabilized routing registers of every cell, row-major: `dist = ρ`
+/// (`∞` for disconnected cells) and `next` the `(dist, id)`-argmin
+/// neighbor under those distances. A pure function of the failed set.
+pub fn stable_routes(config: &SystemConfig, state: &SystemState) -> Vec<(Dist, Option<CellId>)> {
+    let dims = config.dims();
     let rho = rho(config, state);
     let expected_dist = |id: CellId| -> Dist {
         match rho.get(id) {
@@ -58,23 +69,28 @@ pub fn routing_stabilized(config: &SystemConfig, state: &SystemState) -> bool {
             None => Dist::Infinity,
         }
     };
-    dims.iter().all(|id| {
-        let cell = state.cell(dims, id);
-        if cell.failed {
-            return true; // fail() pinned dist = ∞, next = ⊥
-        }
-        if cell.dist != expected_dist(id) {
-            return false;
-        }
-        if id == config.target() {
-            return true;
-        }
-        let (_, want_next) = route_update(
-            dims.neighbors(id).map(|n| (n, expected_dist(n))),
-            config.dist_cap(),
-        );
-        cell.next == want_next
-    })
+    dims.iter()
+        .map(|id| {
+            let (_, next) = route_update(
+                dims.neighbors(id).map(|n| (n, expected_dist(n))),
+                config.dist_cap(),
+            );
+            (expected_dist(id), next)
+        })
+        .collect()
+}
+
+/// Whether cell `id` holding `cell` is in the stable set, given its
+/// stabilized registers `want` (see [`stable_routes`]): failed cells always
+/// are (fail pinned `dist = ∞`, `next = ⊥`), the target needs only its
+/// `dist`, every other cell its `dist` and `next`.
+pub fn cell_route_stable(
+    config: &SystemConfig,
+    id: CellId,
+    cell: &CellState,
+    want: (Dist, Option<CellId>),
+) -> bool {
+    cell.failed || (cell.dist == want.0 && (id == config.target() || cell.next == want.1))
 }
 
 /// The number of entities sitting on target-connected cells — the entities

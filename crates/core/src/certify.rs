@@ -174,6 +174,7 @@ pub fn certify(config: &SystemConfig, ops: &[CorruptionEvent], opts: &CertifyOpt
             ambient_chaos: false,
             consumed_total: sys.consumed_total(),
             inserted_total: sys.inserted_total(),
+            changed: sys.changed_cells(),
         };
         counts[0] += safety.observe(&ctx).len() as u64;
         counts[1] += routing.observe(&ctx).len() as u64;
@@ -450,6 +451,7 @@ pub fn certify_links(
             ambient_chaos: schedule.active(mask_round),
             consumed_total: sys.consumed_total(),
             inserted_total: sys.inserted_total(),
+            changed: sys.changed_cells(),
         };
         counts[0] += safety.observe(&ctx).len() as u64;
         counts[1] += routing.observe(&ctx).len() as u64;

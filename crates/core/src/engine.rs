@@ -34,10 +34,10 @@
 //! On top of the flat layout, the engine schedules rounds **sparsely** by
 //! default ([`ExecMode::Sparse`]): per-round dirty tracking (distance
 //! updates, occupancy flips, sticky signal registers, link-cut diffs,
-//! fault/corruption imports via [`Engine::load_state`]) shrinks each phase's
-//! sweep to the cells whose inputs changed, so a quiescent region costs
-//! O(active), not O(N). When an active list is long enough the phase fans
-//! out to worker threads over contiguous bands of the sorted list
+//! fault/corruption point writes via [`Engine::load_cell`]) shrinks each
+//! phase's sweep to the cells whose inputs changed, so a quiescent region
+//! costs O(active), not O(N). When an active list is long enough the phase
+//! fans out to worker threads over contiguous bands of the sorted list
 //! ([`Engine::set_workers`]) with results applied in band order — bit- and
 //! event-identical to the sequential sweep. The dense mode remains available
 //! as the reference and benchmark baseline.
@@ -58,7 +58,9 @@ use cellflow_routing::Dist;
 use cellflow_telemetry::{PhaseTimers, SchedulerMetrics};
 
 use crate::signal::gap_free_toward;
-use crate::{EntityId, Params, RoundEvents, SystemConfig, SystemState, TokenPolicy, Transfer};
+use crate::{
+    CellState, EntityId, Params, RoundEvents, SystemConfig, SystemState, TokenPolicy, Transfer,
+};
 
 /// Sentinel for "no neighbor in this direction" in [`NeighborTable`].
 const NO_NBR: u32 = u32::MAX;
@@ -242,6 +244,38 @@ impl MarkSet {
     }
 }
 
+/// The cells a slice consumer must visit: an explicit changed slice, or
+/// every index `0..n` when the slice is `None` ("anything may have
+/// changed"). Yields row-major indices in ascending order either way.
+#[derive(Clone, Debug)]
+pub(crate) enum CellScope<'a> {
+    /// Every cell.
+    All(std::ops::Range<usize>),
+    /// Only the listed cells.
+    Changed(std::slice::Iter<'a, u32>),
+}
+
+impl<'a> CellScope<'a> {
+    /// The scope `changed` describes on an `n`-cell grid.
+    pub(crate) fn new(changed: Option<&'a [u32]>, n: usize) -> CellScope<'a> {
+        match changed {
+            None => CellScope::All(0..n),
+            Some(slice) => CellScope::Changed(slice.iter()),
+        }
+    }
+}
+
+impl Iterator for CellScope<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            CellScope::All(range) => range.next(),
+            CellScope::Changed(it) => it.next().map(|&k| k as usize),
+        }
+    }
+}
+
 /// `Signal`'s per-cell result: the three registers Figure 5 writes back.
 #[derive(Clone, Copy, Debug)]
 struct SigOut {
@@ -314,7 +348,8 @@ impl ShardScratch {
 ///   neighbors' `dist`, its own `failed` flag and its incoming-cut mask, so
 ///   `route_now` holds every cell for which any of those changed since it
 ///   last ran (neighbor dist writes mark neighbors; cut diffs mark the
-///   reading cell; fault/corruption imports mark everything).
+///   reading cell; a [`Engine::load_cell`] point write marks the cell and
+///   its neighbors; a wholesale [`Engine::load_state`] marks everything).
 /// * **Signal** — a skipped cell must be *idle*: registers `(0, ⊥, ⊥)` and
 ///   no requester. Any cell that finishes `Signal` with a nonzero register
 ///   re-marks itself ("sticky"); requester appearance is covered by
@@ -603,7 +638,8 @@ fn move_cell_into(
 ///
 /// Drive it directly for maximum throughput (benchmarks do), or through
 /// [`System`](crate::System), which keeps a [`SystemState`] mirror in sync
-/// for monitors, safety checks and serialization.
+/// for monitors, safety checks and serialization by copying each round's
+/// changed cells ([`Engine::changed_cells`]).
 ///
 /// ```
 /// use cellflow_core::engine::Engine;
@@ -644,8 +680,9 @@ pub struct Engine {
     /// `2 · max occupancy`, so a cell pinned at its capacity plateaus at
     /// twice that value while a transient spike washes out within a few
     /// rounds — the signal the cascade heat maps render. Derived telemetry,
-    /// not protocol state: it survives [`Engine::load_state`] (which runs on
-    /// every fault injection) and is zeroed only at construction.
+    /// not protocol state: it survives [`Engine::load_state`] and
+    /// [`Engine::load_cell`] (fault injection) and is zeroed only at
+    /// construction.
     pressure: Vec<u64>,
     /// Exact `ne_prev` sets that cannot be encoded as a neighbor mask
     /// (injected via [`Engine::load_state`] from hand-built states; dropped
@@ -686,6 +723,15 @@ pub struct Engine {
     /// default) keeps [`Engine::step`] on the unrecorded fast path — a
     /// single branch per round, no state export, no allocation.
     recorder: Option<Box<crate::snapshot::Recorder>>,
+    /// Cells whose exported state may differ from what it was when the
+    /// previous [`Engine::step`] returned (see [`Engine::changed_cells`]).
+    changed: MarkSet,
+    /// `changed` stands for every cell: no step has returned yet, the last
+    /// round was dense, or [`Engine::load_state`] rewrote the arenas.
+    changed_all: bool,
+    /// `changed` holds the slice the last step published; the next write
+    /// (a step or [`Engine::load_cell`]) opens a fresh set.
+    changed_sealed: bool,
 }
 
 /// One round's phase attribution for the causal tracer: how many cells each
@@ -770,6 +816,9 @@ impl Engine {
             sched: Sched::with_cells(n),
             shards: ShardScratch::with_bands(1),
             recorder: None,
+            changed: MarkSet::with_cells(n),
+            changed_all: true,
+            changed_sealed: false,
         };
         engine.front[engine.topo.target_index].dist = Dist::Finite(0);
         engine
@@ -953,7 +1002,9 @@ impl Engine {
 
     /// Imports `state` into the arenas (replacing everything). `ne_prev`
     /// sets that are not representable as a neighbor mask are retained
-    /// verbatim so [`Engine::store_state`] loses nothing.
+    /// verbatim so [`Engine::store_state`] loses nothing. The next round
+    /// recomputes every cell and publishes "every cell" as its changed
+    /// slice; to edit one cell, [`Engine::load_cell`] is far cheaper.
     ///
     /// # Panics
     ///
@@ -966,40 +1017,88 @@ impl Engine {
         );
         self.ne_override.clear();
         for (k, cs) in state.cells.iter().enumerate() {
-            let mut mask = 0u8;
-            let mut representable = cs.ne_prev.len() <= 4;
-            if representable {
-                'encode: for &m in &cs.ne_prev {
-                    for s in 0..4 {
-                        if self.topo.nbr_idx[k][s] != NO_NBR && self.topo.nbr_id[k][s] == m {
-                            mask |= 1 << s;
-                            continue 'encode;
-                        }
-                    }
-                    representable = false;
-                    break;
-                }
-            }
-            if !representable {
-                self.ne_override.push((k as u32, cs.ne_prev.clone()));
-                mask = 0;
-            }
-            self.front[k] = CellCore {
-                dist: cs.dist,
-                next: cs.next,
-                token: cs.token,
-                signal: cs.signal,
-                ne_mask: mask,
-                failed: cs.failed,
-            };
-            let mem = &mut self.members[k];
-            mem.clear();
-            mem.extend(cs.members.iter().map(|(&e, &p)| (e, p)));
+            self.import_cell(k, cs);
         }
         self.next_entity_id = state.next_entity_id;
-        // Arbitrary registers may have been rewritten (fault injection goes
-        // through here): the next sparse round must recompute everything.
+        // Arbitrary registers may have been rewritten: the next sparse round
+        // must recompute everything, and every cell counts as changed.
         self.sched.mark_all = true;
+        self.open_changed();
+        self.changed_all = true;
+    }
+
+    /// Overwrites one cell's registers and members with `cell` — the point
+    /// write behind fault injection (crash, recovery, corruption). The cell
+    /// and its four neighbors are marked dirty for `Route` and `Signal`
+    /// (their inputs read this cell's `dist`, `next`, `failed` and
+    /// occupancy), the occupancy and pressure lists learn about new
+    /// members, and the cell joins the next step's changed slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of bounds.
+    pub fn load_cell(&mut self, id: CellId, cell: &CellState) {
+        let k = self.config.dims().index(id);
+        self.open_changed();
+        self.import_cell(k, cell);
+        let ku = k as u32;
+        let Engine {
+            sched,
+            topo,
+            changed,
+            members,
+            alloc_events,
+            ..
+        } = self;
+        changed.insert(ku, alloc_events);
+        sched.route_next.insert(ku, alloc_events);
+        sched.sig_next.insert(ku, alloc_events);
+        for &ni in &topo.nbr_idx[k] {
+            if ni != NO_NBR {
+                sched.route_next.insert(ni, alloc_events);
+                sched.sig_next.insert(ni, alloc_events);
+            }
+        }
+        if !members[k].is_empty() {
+            note_occupied(sched, topo, ku, alloc_events);
+        }
+    }
+
+    /// Writes one exported cell into the arenas: registers, the `ne_prev`
+    /// mask (or a verbatim override when no mask can encode it), members.
+    fn import_cell(&mut self, k: usize, cs: &CellState) {
+        if !self.ne_override.is_empty() {
+            self.ne_override.retain(|(i, _)| *i != k as u32);
+        }
+        let mut mask = 0u8;
+        let mut representable = cs.ne_prev.len() <= 4;
+        if representable {
+            'encode: for &m in &cs.ne_prev {
+                for s in 0..4 {
+                    if self.topo.nbr_idx[k][s] != NO_NBR && self.topo.nbr_id[k][s] == m {
+                        mask |= 1 << s;
+                        continue 'encode;
+                    }
+                }
+                representable = false;
+                break;
+            }
+        }
+        if !representable {
+            self.ne_override.push((k as u32, cs.ne_prev.clone()));
+            mask = 0;
+        }
+        self.front[k] = CellCore {
+            dist: cs.dist,
+            next: cs.next,
+            token: cs.token,
+            signal: cs.signal,
+            ne_mask: mask,
+            failed: cs.failed,
+        };
+        let mem = &mut self.members[k];
+        mem.clear();
+        mem.extend(cs.members.iter().map(|(&e, &p)| (e, p)));
     }
 
     /// Exports the arenas into `state` in place, reusing its allocations:
@@ -1016,43 +1115,89 @@ impl Engine {
             "state size must match the grid"
         );
         for (k, cs) in state.cells.iter_mut().enumerate() {
-            let c = self.front[k];
-            cs.dist = c.dist;
-            cs.next = c.next;
-            cs.token = c.token;
-            cs.signal = c.signal;
-            cs.failed = c.failed;
-            let overridden = self
-                .ne_override
-                .iter()
-                .find(|(i, _)| *i == k as u32)
-                .map(|(_, set)| set);
-            if let Some(set) = overridden {
-                if cs.ne_prev != *set {
-                    cs.ne_prev = set.clone();
-                }
-            } else {
-                let (cands, cn) = self.mask_candidates(k, c.ne_mask);
-                let unchanged = cs.ne_prev.len() == cn
-                    && cs.ne_prev.iter().zip(cands[..cn].iter()).all(|(a, b)| a == b);
-                if !unchanged {
-                    cs.ne_prev.clear();
-                    cs.ne_prev.extend(cands[..cn].iter().copied());
-                }
-            }
-            let mem = &self.members[k];
-            let same_keys = cs.members.len() == mem.len()
-                && cs.members.keys().zip(mem.iter()).all(|(a, (b, _))| a == b);
-            if same_keys {
-                for (slot, (_, p)) in cs.members.values_mut().zip(mem.iter()) {
-                    *slot = *p;
-                }
-            } else {
-                cs.members.clear();
-                cs.members.extend(mem.iter().copied());
-            }
+            self.store_cell(k, cs);
         }
         state.next_entity_id = self.next_entity_id;
+    }
+
+    /// Exports cell `k` into `cs` in place — the one per-cell store behind
+    /// [`Engine::store_state`] and every slice-driven mirror refresh.
+    /// Returns whether `cs` changed.
+    pub(crate) fn store_cell(&self, k: usize, cs: &mut CellState) -> bool {
+        let c = self.front[k];
+        let mut changed = cs.dist != c.dist
+            || cs.next != c.next
+            || cs.token != c.token
+            || cs.signal != c.signal
+            || cs.failed != c.failed;
+        cs.dist = c.dist;
+        cs.next = c.next;
+        cs.token = c.token;
+        cs.signal = c.signal;
+        cs.failed = c.failed;
+        let overridden = self
+            .ne_override
+            .iter()
+            .find(|(i, _)| *i == k as u32)
+            .map(|(_, set)| set);
+        if let Some(set) = overridden {
+            if cs.ne_prev != *set {
+                cs.ne_prev = set.clone();
+                changed = true;
+            }
+        } else {
+            let (cands, cn) = self.mask_candidates(k, c.ne_mask);
+            let unchanged = cs.ne_prev.len() == cn
+                && cs.ne_prev.iter().zip(cands[..cn].iter()).all(|(a, b)| a == b);
+            if !unchanged {
+                cs.ne_prev.clear();
+                cs.ne_prev.extend(cands[..cn].iter().copied());
+                changed = true;
+            }
+        }
+        let mem = &self.members[k];
+        let same_keys = cs.members.len() == mem.len()
+            && cs.members.keys().zip(mem.iter()).all(|(a, (b, _))| a == b);
+        if same_keys {
+            for (slot, (_, p)) in cs.members.values_mut().zip(mem.iter()) {
+                if *slot != *p {
+                    *slot = *p;
+                    changed = true;
+                }
+            }
+        } else {
+            cs.members.clear();
+            cs.members.extend(mem.iter().copied());
+            changed = true;
+        }
+        changed
+    }
+
+    /// The cells whose exported [`CellState`] may differ from what it was
+    /// when the previous [`Engine::step`] returned: ascending row-major
+    /// indices of every cell a phase, source insertion or
+    /// [`Engine::load_cell`] actually wrote. `None` means "every cell" — a
+    /// dense round, the first round, or a round after
+    /// [`Engine::load_state`]. Read it right after a step; between steps it
+    /// lists (unsorted) the cells loaded so far.
+    ///
+    /// Mirrors, monitors and recorders refresh exactly these cells to stay
+    /// O(changed cells) per round.
+    pub fn changed_cells(&self) -> Option<&[u32]> {
+        if self.changed_all {
+            None
+        } else {
+            Some(&self.changed.list)
+        }
+    }
+
+    /// Starts a fresh changed set on the first write after a step returned.
+    fn open_changed(&mut self) {
+        if self.changed_sealed {
+            self.changed_sealed = false;
+            self.changed_all = false;
+            self.changed.begin();
+        }
     }
 
     /// Allocates and returns a fresh [`SystemState`] mirror (convenience for
@@ -1074,12 +1219,20 @@ impl Engine {
         self.events.grants.clear();
         self.events.blocked.clear();
         self.events.moved.clear();
+        self.open_changed();
 
         match self.mode {
             ExecMode::Dense => self.round_dense(),
             ExecMode::Sparse => self.round_sparse(),
         }
 
+        // Dense rounds keep no dirty tracking: every cell may have changed.
+        if self.mode == ExecMode::Dense {
+            self.changed_all = true;
+        } else if !self.changed_all {
+            self.changed.list.sort_unstable();
+        }
+        self.changed_sealed = true;
         self.round += 1;
         if self.recorder.is_some() {
             self.record_round();
@@ -1305,6 +1458,7 @@ impl Engine {
             front,
             alloc_events,
             shards,
+            changed,
             ..
         } = self;
         for band in &mut shards.route[..nbands] {
@@ -1312,6 +1466,7 @@ impl Engine {
             band.allocs = 0;
             for &(k, dist, next) in &band.upd {
                 let ku = k as usize;
+                changed.insert(k, alloc_events);
                 let c = &mut front[ku];
                 let dist_changed = c.dist != dist;
                 let next_changed = c.next != next;
@@ -1404,6 +1559,7 @@ impl Engine {
             ne_override,
             alloc_events,
             shards,
+            changed,
             ..
         } = self;
         for band in &mut shards.sig[..nbands] {
@@ -1422,11 +1578,18 @@ impl Engine {
                     (None, None) => {}
                 }
                 let c = &mut front[ku];
+                let mut wrote =
+                    c.ne_mask != out.mask || c.token != out.token || c.signal != out.signal;
                 c.ne_mask = out.mask;
                 c.token = out.token;
                 c.signal = out.signal;
                 if !ne_override.is_empty() {
+                    let before = ne_override.len();
                     ne_override.retain(|(i, _)| *i != k);
+                    wrote |= ne_override.len() != before;
+                }
+                if wrote {
+                    changed.insert(k, alloc_events);
                 }
                 if out.mask != 0 || out.token.is_some() || out.signal.is_some() {
                     sched.sig_next.insert(k, alloc_events);
@@ -1478,6 +1641,7 @@ impl Engine {
                 shards,
                 alloc_events,
                 sched_metrics,
+                changed,
                 ..
             } = self;
             let list: &[u32] = &sched.move_list;
@@ -1559,6 +1723,11 @@ impl Engine {
                         drain_tracked(incoming, &mut band.incoming, alloc_events);
                     }
                 }
+                // Every cell that moved rewrote its members.
+                let dims = config.dims();
+                for &id in &events.moved {
+                    changed.insert(dims.index(id) as u32, alloc_events);
+                }
                 // Cells that drained stop being requesters: their neighbors'
                 // masks change next round.
                 for &k in list {
@@ -1575,8 +1744,9 @@ impl Engine {
         self.apply_incoming(true);
     }
 
-    /// Applies deferred cross-cell arrivals in emission order. With `track`,
-    /// cells gaining their first occupant are folded into the occupancy and
+    /// Applies deferred cross-cell arrivals in emission order. With `track`
+    /// (sparse rounds), receiving cells join the changed set, and cells
+    /// gaining their first occupant are folded into the occupancy and
     /// pressure lists and their neighbors marked for `Signal`.
     fn apply_incoming(&mut self, track: bool) {
         let mut incoming = std::mem::take(&mut self.incoming);
@@ -1584,8 +1754,11 @@ impl Engine {
             let tu = to as usize;
             let was_empty = self.members[tu].is_empty();
             insert_member(&mut self.members[tu], eid, pos, &mut self.alloc_events);
-            if track && was_empty {
-                note_occupied(&mut self.sched, &self.topo, to, &mut self.alloc_events);
+            if track {
+                self.changed.insert(to, &mut self.alloc_events);
+                if was_empty {
+                    note_occupied(&mut self.sched, &self.topo, to, &mut self.alloc_events);
+                }
             }
         }
         incoming.clear();
@@ -1801,8 +1974,11 @@ impl Engine {
             self.next_entity_id += 1;
             insert_member(&mut self.members[si], eid, pos, &mut self.alloc_events);
             push_tracked(&mut self.events.inserted, (s, eid), &mut self.alloc_events);
-            if sparse && was_empty {
-                note_occupied(&mut self.sched, &self.topo, si as u32, &mut self.alloc_events);
+            if sparse {
+                self.changed.insert(si as u32, &mut self.alloc_events);
+                if was_empty {
+                    note_occupied(&mut self.sched, &self.topo, si as u32, &mut self.alloc_events);
+                }
             }
         }
     }
@@ -2433,6 +2609,61 @@ mod tests {
     }
 
     #[test]
+    fn changed_slice_covers_every_exported_change() {
+        use crate::fault::Corruption;
+        let cfg = config();
+        let dims = cfg.dims();
+        let mut engine = Engine::new(cfg.clone());
+        assert_eq!(engine.changed_cells(), None, "nothing has been published yet");
+        engine.step();
+        let mut before = engine.export_state();
+        let victim = CellId::new(1, 4);
+        for round in 1..200u64 {
+            // Point writes between rounds: a crash, a recovery, corruptions.
+            let mut cell = before.cell(dims, victim).clone();
+            match round % 50 {
+                10 => before.fail(dims, victim),
+                20 => before.recover(dims, victim, cfg.target()),
+                30 => Corruption::Scramble { salt: round }.apply(&cfg, victim, &mut cell),
+                _ => {}
+            }
+            if round % 50 == 30 {
+                *before.cell_mut(dims, victim) = cell;
+            }
+            if matches!(round % 50, 10 | 20 | 30) {
+                engine.load_cell(victim, before.cell(dims, victim));
+            }
+            let loaded = before.clone();
+            engine.step();
+            let after = engine.export_state();
+            let changed = engine.changed_cells().expect("sparse rounds publish a slice");
+            assert!(
+                changed.windows(2).all(|w| w[0] < w[1]),
+                "slice not ascending and distinct at round {round}"
+            );
+            for k in 0..after.cells.len() {
+                if after.cells[k] != loaded.cells[k] {
+                    assert!(
+                        changed.binary_search(&(k as u32)).is_ok(),
+                        "cell {} changed in round {round} but is not in the slice",
+                        dims.id_at(k)
+                    );
+                }
+            }
+            before = after;
+        }
+        engine.set_exec_mode(ExecMode::Dense);
+        engine.step();
+        assert_eq!(engine.changed_cells(), None, "dense rounds track nothing");
+        engine.set_exec_mode(ExecMode::Sparse);
+        engine.step();
+        assert!(engine.changed_cells().is_some());
+        engine.load_state(&before);
+        engine.step();
+        assert_eq!(engine.changed_cells(), None, "a wholesale load changes every cell");
+    }
+
+    #[test]
     fn cuts_survive_load_state_and_clear_restores_the_fast_path() {
         use crate::fault::PartitionPlan;
         let cfg = config();
@@ -2443,7 +2674,7 @@ mod tests {
             sys.set_link_cuts(schedule.mask_row(round));
             sys.step();
         }
-        // fail() forces a load_state on the next step; the cuts must persist.
+        // fail() point-writes the engine between steps; the cuts must persist.
         sys.fail(CellId::new(6, 6));
         let events = sys.step();
         for t in &events.transfers {

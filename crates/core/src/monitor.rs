@@ -19,17 +19,29 @@
 //!   routing must re-stabilize within `2·N² + 2` rounds of the last fault
 //!   transition.
 //!
+//! Every standard monitor runs one per-cell check, driven either over the
+//! round's changed cells ([`MonitorCtx::changed`]) or over every cell, and
+//! keeps small per-cell caches so that a round costs O(changed cells). A
+//! monitor falls back to a full pass whenever it cannot trust the slice:
+//! no slice was given, it has never done a full pass, or the round does not
+//! directly follow the last one it observed. When the caches suspect a
+//! violation, the whole-grid oracles ([`safety`]'s checkers,
+//! [`analysis::routing_stabilized`], the full routing sweep) produce the
+//! report, so violation text is identical either way.
+//!
 //! Predicate `H` is deliberately **not** monitored here: Lemma 3 establishes
 //! it at signal-computation time, and it legitimately fails in end-of-round
 //! states (granted cells' entities move within the same round), which is all
 //! a monitor gets to see.
 
 use core::fmt;
+use std::collections::HashMap;
 
 use cellflow_grid::CellId;
 use cellflow_routing::Dist;
 
-use crate::{analysis, safety, SystemConfig, SystemState};
+use crate::engine::CellScope;
+use crate::{analysis, safety, CellState, EntityId, SystemConfig, SystemState};
 
 /// Everything a monitor may inspect about one completed round.
 ///
@@ -66,6 +78,47 @@ pub struct MonitorCtx<'a> {
     pub consumed_total: u64,
     /// Cumulative entities inserted by sources since round 0.
     pub inserted_total: u64,
+    /// Row-major indices (ascending) of the cells whose state may differ
+    /// from the previous round's end state, fault writes included — the
+    /// engine's changed slice ([`System::changed_cells`]). `None` means
+    /// anything may have changed; monitors then check every cell.
+    ///
+    /// [`System::changed_cells`]: crate::System::changed_cells
+    pub changed: Option<&'a [u32]>,
+}
+
+/// Decides, each round, which cells a caching monitor must re-check.
+#[derive(Debug, Default)]
+struct SliceGate {
+    /// The round observed last, if any.
+    last_round: Option<u64>,
+}
+
+impl SliceGate {
+    /// The cells to re-check: the changed slice when the monitor's caches
+    /// are `primed` (built by an earlier full pass) and this round directly
+    /// follows the last one observed; every cell otherwise.
+    fn scope<'a>(&mut self, ctx: &MonitorCtx<'a>, primed: bool) -> CellScope<'a> {
+        let follows = self.last_round.is_some_and(|r| r + 1 == ctx.round);
+        self.last_round = Some(ctx.round);
+        let changed = if primed && follows { ctx.changed } else { None };
+        CellScope::new(changed, ctx.state.cells.len())
+    }
+}
+
+/// `cache` when it covers `n` cells, else a freshly built one — caches are
+/// built on the first observation, never at construction.
+fn cache_for<T>(
+    cache: &mut Option<T>,
+    n: usize,
+    len: impl Fn(&T) -> usize,
+    build: impl FnOnce() -> T,
+) -> (&mut T, bool) {
+    let primed = cache.as_ref().is_some_and(|c| len(c) == n);
+    if !primed {
+        *cache = Some(build());
+    }
+    (cache.as_mut().expect("cache was just ensured"), primed)
 }
 
 /// One property violation flagged by a monitor.
@@ -100,11 +153,99 @@ pub trait Monitor: Send {
     fn summary(&self) -> String;
 }
 
+/// Per-cell pass/fail flags from a monitor's per-cell check, with a count
+/// of the failing cells so "any failure?" is O(1).
+#[derive(Debug)]
+struct CellFlags {
+    flagged: Vec<bool>,
+    count: usize,
+}
+
+impl CellFlags {
+    fn new(n: usize) -> CellFlags {
+        CellFlags {
+            flagged: vec![false; n],
+            count: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.flagged.len()
+    }
+
+    fn set(&mut self, k: usize, on: bool) {
+        if self.flagged[k] != on {
+            self.flagged[k] = on;
+            if on {
+                self.count += 1;
+            } else {
+                self.count -= 1;
+            }
+        }
+    }
+}
+
+/// The [`SafetyMonitor`]'s per-cell view of the last state it checked.
+#[derive(Debug)]
+struct SafetyCache {
+    /// Cells that break `Safe` or Invariant 1 on their own.
+    bad: CellFlags,
+    /// Per cell, the member ids it held when last checked.
+    ids: Vec<Vec<EntityId>>,
+    /// How many cells claim each entity id (Invariant 2 wants one).
+    claims: HashMap<EntityId, u32>,
+    /// Ids claimed by more than one cell.
+    shared_ids: usize,
+}
+
+impl SafetyCache {
+    fn new(n: usize) -> SafetyCache {
+        SafetyCache {
+            bad: CellFlags::new(n),
+            ids: vec![Vec::new(); n],
+            claims: HashMap::new(),
+            shared_ids: 0,
+        }
+    }
+
+    /// The per-cell check: re-derives cell `k`'s entries from `cell`.
+    fn check(&mut self, config: &SystemConfig, k: usize, id: CellId, cell: &CellState) {
+        let bad = safety::check_safe_cell(config, id, cell).is_err()
+            || safety::check_invariant1_cell(config, id, cell).is_err();
+        self.bad.set(k, bad);
+        let ids = &mut self.ids[k];
+        if ids.iter().eq(cell.members.keys()) {
+            return;
+        }
+        for e in ids.drain(..) {
+            let claims = self.claims.get_mut(&e).expect("held ids are counted");
+            *claims -= 1;
+            match *claims {
+                0 => {
+                    self.claims.remove(&e);
+                }
+                1 => self.shared_ids -= 1,
+                _ => {}
+            }
+        }
+        for &e in cell.members.keys() {
+            let claims = self.claims.entry(e).or_insert(0);
+            *claims += 1;
+            if *claims == 2 {
+                self.shared_ids += 1;
+            }
+            ids.push(e);
+        }
+    }
+}
+
 /// Theorem 5 safety plus Invariants 1–2, checked every round.
 #[derive(Debug, Default)]
 pub struct SafetyMonitor {
     rounds: u64,
     violations: u64,
+    gate: SliceGate,
+    cache: Option<SafetyCache>,
 }
 
 impl SafetyMonitor {
@@ -121,7 +262,19 @@ impl Monitor for SafetyMonitor {
 
     fn observe(&mut self, ctx: &MonitorCtx<'_>) -> Vec<MonitorViolation> {
         self.rounds += 1;
+        let n = ctx.state.cells.len();
+        let (cache, primed) =
+            cache_for(&mut self.cache, n, |c| c.bad.len(), || SafetyCache::new(n));
+        let dims = ctx.config.dims();
+        for k in self.gate.scope(ctx, primed) {
+            cache.check(ctx.config, k, dims.id_at(k), &ctx.state.cells[k]);
+        }
         let mut out = Vec::new();
+        if cache.bad.count == 0 && cache.shared_ids == 0 {
+            return out;
+        }
+        // A suspected violation: the whole-grid checkers name the first
+        // offender in scan order.
         if let Err(v) = safety::check_safe(ctx.config, ctx.state) {
             out.push(MonitorViolation {
                 monitor: self.name(),
@@ -167,12 +320,83 @@ impl Monitor for SafetyMonitor {
 pub struct RoutingMonitor {
     rounds: u64,
     violations: u64,
+    gate: SliceGate,
+    /// Cells whose last check flagged something.
+    cache: Option<CellFlags>,
 }
 
 impl RoutingMonitor {
     /// A fresh monitor.
     pub fn new() -> RoutingMonitor {
         RoutingMonitor::default()
+    }
+}
+
+/// The routing monitor's per-cell check: appends cell `id`'s violations
+/// at `round` to `out`.
+fn routing_faults(
+    config: &SystemConfig,
+    id: CellId,
+    cell: &CellState,
+    round: u64,
+    out: &mut Vec<MonitorViolation>,
+) {
+    let mut flag = |detail: String| {
+        out.push(MonitorViolation {
+            monitor: "routing",
+            round,
+            detail,
+        });
+    };
+    if cell.failed {
+        if cell.dist != Dist::Infinity || cell.next.is_some() {
+            flag(format!(
+                "failed cell {id} not pinned: dist={:?} next={:?}",
+                cell.dist, cell.next
+            ));
+        }
+        return;
+    }
+    if let Some(n) = cell.next {
+        if !id.is_neighbor(n) {
+            flag(format!("cell {id} routes to non-neighbor {n}"));
+        }
+    }
+    if let Some(s) = cell.signal {
+        if !id.is_neighbor(s) {
+            flag(format!("cell {id} grants non-neighbor {s}"));
+        }
+    }
+    if id == config.target() {
+        if cell.dist != Dist::Finite(0) {
+            flag(format!(
+                "live target {id} has dist {:?}, expected 0",
+                cell.dist
+            ));
+        }
+    } else if cell.dist == Dist::Finite(0) {
+        flag(format!("non-target cell {id} claims dist 0"));
+    }
+}
+
+/// Runs [`routing_faults`] over `cells`, refreshing their flags.
+fn routing_sweep(
+    ctx: &MonitorCtx<'_>,
+    flags: &mut CellFlags,
+    cells: CellScope<'_>,
+    out: &mut Vec<MonitorViolation>,
+) {
+    let dims = ctx.config.dims();
+    for k in cells {
+        let before = out.len();
+        routing_faults(
+            ctx.config,
+            dims.id_at(k),
+            &ctx.state.cells[k],
+            ctx.round,
+            out,
+        );
+        flags.set(k, out.len() > before);
     }
 }
 
@@ -183,50 +407,17 @@ impl Monitor for RoutingMonitor {
 
     fn observe(&mut self, ctx: &MonitorCtx<'_>) -> Vec<MonitorViolation> {
         self.rounds += 1;
-        let dims = ctx.config.dims();
-        let target = ctx.config.target();
+        let n = ctx.state.cells.len();
+        let (flags, primed) = cache_for(&mut self.cache, n, CellFlags::len, || CellFlags::new(n));
+        let scope = self.gate.scope(ctx, primed);
+        let full = matches!(scope, CellScope::All(_));
         let mut out = Vec::new();
-        let mut flag = |round: u64, detail: String| {
-            out.push(MonitorViolation {
-                monitor: "routing",
-                round,
-                detail,
-            });
-        };
-        for id in dims.iter() {
-            let cell = ctx.state.cell(dims, id);
-            if cell.failed {
-                if cell.dist != Dist::Infinity || cell.next.is_some() {
-                    flag(
-                        ctx.round,
-                        format!(
-                            "failed cell {id} not pinned: dist={:?} next={:?}",
-                            cell.dist, cell.next
-                        ),
-                    );
-                }
-                continue;
-            }
-            if let Some(n) = cell.next {
-                if !id.is_neighbor(n) {
-                    flag(ctx.round, format!("cell {id} routes to non-neighbor {n}"));
-                }
-            }
-            if let Some(s) = cell.signal {
-                if !id.is_neighbor(s) {
-                    flag(ctx.round, format!("cell {id} grants non-neighbor {s}"));
-                }
-            }
-            if id == target {
-                if cell.dist != Dist::Finite(0) {
-                    flag(
-                        ctx.round,
-                        format!("live target {id} has dist {:?}, expected 0", cell.dist),
-                    );
-                }
-            } else if cell.dist == Dist::Finite(0) {
-                flag(ctx.round, format!("non-target cell {id} claims dist 0"));
-            }
+        routing_sweep(ctx, flags, scope, &mut out);
+        if !full && flags.count > 0 {
+            // A suspected violation: the full sweep reports every flagged
+            // cell in scan order.
+            out.clear();
+            routing_sweep(ctx, flags, CellScope::new(None, n), &mut out);
         }
         self.violations += out.len() as u64;
         out
@@ -257,6 +448,15 @@ pub struct ConservationMonitor {
     rounds: u64,
     violations: u64,
     offset: i64,
+    gate: SliceGate,
+    cache: Option<PopulationCache>,
+}
+
+/// Per-cell populations and their running total.
+#[derive(Debug)]
+struct PopulationCache {
+    per_cell: Vec<u32>,
+    total: i64,
 }
 
 impl ConservationMonitor {
@@ -273,7 +473,22 @@ impl Monitor for ConservationMonitor {
 
     fn observe(&mut self, ctx: &MonitorCtx<'_>) -> Vec<MonitorViolation> {
         self.rounds += 1;
-        let population = ctx.state.entity_count() as i64;
+        let n = ctx.state.cells.len();
+        let (cache, primed) = cache_for(
+            &mut self.cache,
+            n,
+            |c| c.per_cell.len(),
+            || PopulationCache {
+                per_cell: vec![0; n],
+                total: 0,
+            },
+        );
+        for k in self.gate.scope(ctx, primed) {
+            let m = ctx.state.cells[k].members.len() as u32;
+            cache.total += i64::from(m) - i64::from(cache.per_cell[k]);
+            cache.per_cell[k] = m;
+        }
+        let mut population = cache.total;
         let expected =
             (ctx.inserted_total - ctx.consumed_total.min(ctx.inserted_total)) as i64;
         if !ctx.corrupted.is_empty() {
@@ -281,6 +496,10 @@ impl Monitor for ConservationMonitor {
             return Vec::new();
         }
         let mut out = Vec::new();
+        if population != expected + self.offset {
+            // A suspected violation: count the population from scratch.
+            population = ctx.state.entity_count() as i64;
+        }
         if population != expected + self.offset {
             out.push(MonitorViolation {
                 monitor: self.name(),
@@ -328,6 +547,32 @@ pub struct StabilizationMonitor {
     reported_epoch: bool,
     violations: u64,
     probe: Option<StabilizationProbe>,
+    gate: SliceGate,
+    cache: Option<RouteCache>,
+}
+
+/// The stabilization stopwatch's per-cell view: the failed set the
+/// stabilized routes were derived from, those routes, and which cells
+/// differ from them.
+#[derive(Debug)]
+struct RouteCache {
+    failed: Vec<bool>,
+    want: Vec<(Dist, Option<CellId>)>,
+    unstable: CellFlags,
+}
+
+impl RouteCache {
+    fn len(&self) -> usize {
+        self.failed.len()
+    }
+
+    /// Rebuilds the failed set and the stabilized routes from `state`.
+    fn rebuild(&mut self, config: &SystemConfig, state: &SystemState) {
+        for (f, cell) in self.failed.iter_mut().zip(&state.cells) {
+            *f = cell.failed;
+        }
+        self.want = analysis::stable_routes(config, state);
+    }
 }
 
 /// A shared read-out of a [`StabilizationMonitor`]'s verdict, for callers
@@ -388,6 +633,8 @@ impl StabilizationMonitor {
             reported_epoch: false,
             violations: 0,
             probe: None,
+            gate: SliceGate::default(),
+            cache: None,
         }
     }
 
@@ -430,7 +677,34 @@ impl Monitor for StabilizationMonitor {
             self.stabilized_at = None;
             self.reported_epoch = false;
         }
-        let out = if analysis::routing_stabilized(ctx.config, ctx.state) {
+        let n = ctx.state.cells.len();
+        let (cache, primed) = cache_for(&mut self.cache, n, RouteCache::len, || RouteCache {
+            failed: vec![false; n],
+            want: Vec::new(),
+            unstable: CellFlags::new(n),
+        });
+        let mut scope = self.gate.scope(ctx, primed);
+        // ρ is a function of the failed set alone: rebuild it, and re-check
+        // every cell against it, only when some cell's flag flipped.
+        let flipped = !primed
+            || scope
+                .clone()
+                .any(|k| ctx.state.cells[k].failed != cache.failed[k]);
+        if flipped {
+            cache.rebuild(ctx.config, ctx.state);
+            scope = CellScope::new(None, n);
+        }
+        let dims = ctx.config.dims();
+        for k in scope {
+            let stable = analysis::cell_route_stable(
+                ctx.config,
+                dims.id_at(k),
+                &ctx.state.cells[k],
+                cache.want[k],
+            );
+            cache.unstable.set(k, !stable);
+        }
+        let out = if cache.unstable.count == 0 {
             if self.stabilized_at.is_none() {
                 self.stabilized_at = Some(ctx.round);
             }
@@ -438,7 +712,11 @@ impl Monitor for StabilizationMonitor {
         } else {
             self.stabilized_at = None;
             let elapsed = ctx.round - self.last_disturbance;
-            if elapsed > self.bound && !self.reported_epoch {
+            // A suspected violation is confirmed by the whole-grid check.
+            if elapsed > self.bound
+                && !self.reported_epoch
+                && !analysis::routing_stabilized(ctx.config, ctx.state)
+            {
                 self.reported_epoch = true;
                 self.violations += 1;
                 vec![MonitorViolation {
@@ -492,12 +770,14 @@ impl Monitor for StabilizationMonitor {
 #[derive(Debug)]
 pub struct CapacityMonitor {
     capacity: u32,
-    /// Per-cell episode latch: `true` while the cell is over capacity.
-    over: Vec<bool>,
+    /// Per-cell episode latch: `true` while the cell is over capacity
+    /// (built on the first observation).
+    over: Option<Vec<bool>>,
     rounds: u64,
     violations: u64,
     /// Highest occupancy ever observed.
     peak: usize,
+    gate: SliceGate,
 }
 
 impl CapacityMonitor {
@@ -511,10 +791,11 @@ impl CapacityMonitor {
             capacity: config
                 .capacity()
                 .expect("capacity monitoring requires a finite capacity"),
-            over: vec![false; config.dims().cell_count()],
+            over: None,
             rounds: 0,
             violations: 0,
             peak: 0,
+            gate: SliceGate::default(),
         }
     }
 }
@@ -527,16 +808,20 @@ impl Monitor for CapacityMonitor {
     fn observe(&mut self, ctx: &MonitorCtx<'_>) -> Vec<MonitorViolation> {
         self.rounds += 1;
         let dims = ctx.config.dims();
+        let n = ctx.state.cells.len();
+        let (over, primed) = cache_for(&mut self.over, n, Vec::len, || vec![false; n]);
         let mut out = Vec::new();
-        for (k, cell) in ctx.state.cells.iter().enumerate() {
-            let occupancy = cell.members.len();
+        // Occupancy and the latch of an unchanged cell are what they were
+        // last round, so the changed cells alone yield the same breaches.
+        for k in self.gate.scope(ctx, primed) {
+            let occupancy = ctx.state.cells[k].members.len();
             self.peak = self.peak.max(occupancy);
             if occupancy > self.capacity as usize {
-                if !self.over[k] {
-                    self.over[k] = true;
+                if !over[k] {
+                    over[k] = true;
                     self.violations += 1;
                     out.push(MonitorViolation {
-                        monitor: self.name(),
+                        monitor: "capacity",
                         round: ctx.round,
                         detail: format!(
                             "cell {} holds {occupancy} entities over capacity {}",
@@ -546,7 +831,7 @@ impl Monitor for CapacityMonitor {
                     });
                 }
             } else {
-                self.over[k] = false;
+                over[k] = false;
             }
         }
         out
@@ -789,12 +1074,124 @@ mod tests {
                 ambient_chaos: false,
                 consumed_total: sys.consumed_total(),
                 inserted_total: sys.inserted_total(),
+                changed: sys.changed_cells(),
             };
             for m in monitors.iter_mut() {
                 all.extend(m.observe(&ctx));
             }
         }
         all
+    }
+
+    /// Corrupts a clean state in one monitor's domain.
+    type Damage = fn(&mut SystemState, GridDims);
+
+    /// Damage each standard monitor must catch, by monitor name.
+    fn damages() -> [(&'static str, Damage); 5] {
+        [
+            ("safety", |s, dims| {
+                let c = s.cell_mut(dims, CellId::new(1, 1));
+                c.members
+                    .insert(crate::EntityId(900), CellId::new(1, 1).center());
+                c.members
+                    .insert(crate::EntityId(901), CellId::new(1, 1).center());
+            }),
+            ("routing", |s, dims| {
+                s.cell_mut(dims, CellId::new(1, 1)).dist = Dist::Finite(0);
+            }),
+            ("conservation", |s, dims| {
+                let at = CellId::new(1, 1).center();
+                s.cell_mut(dims, CellId::new(1, 1))
+                    .members
+                    .insert(crate::EntityId(900), at);
+            }),
+            ("stabilization", |s, dims| {
+                s.cell_mut(dims, CellId::new(1, 1)).dist = Dist::Finite(9);
+            }),
+            ("capacity", |s, dims| {
+                let at = CellId::new(1, 1).center();
+                let above = at.translate(
+                    cellflow_geom::Dir::North,
+                    cellflow_geom::Fixed::from_milli(300),
+                );
+                let c = s.cell_mut(dims, CellId::new(1, 1));
+                c.members.insert(crate::EntityId(900), at);
+                c.members.insert(crate::EntityId(901), above);
+            }),
+        ]
+    }
+
+    /// A monitor may only trust a slice that continues the round it saw
+    /// last, after a full pass: damage that lands in a skipped round, or
+    /// before a monitor's first observation, is absent from the slice it
+    /// is handed, and must still be reported.
+    #[test]
+    fn skipped_rounds_and_cold_monitors_fall_back_to_full_passes() {
+        let cfg = SystemConfig::new(
+            GridDims::square(4),
+            CellId::new(3, 3),
+            Params::from_milli(250, 50, 100).unwrap(),
+        )
+        .unwrap()
+        .with_capacity(1);
+        let dims = cfg.dims();
+        let mut sys = System::new(cfg.clone());
+        sys.run(10);
+        let clean = sys.state().clone();
+        assert!(analysis::routing_stabilized(&cfg, &clean));
+        fn ctx<'a>(
+            config: &'a SystemConfig,
+            state: &'a SystemState,
+            round: u64,
+            changed: Option<&'a [u32]>,
+        ) -> MonitorCtx<'a> {
+            MonitorCtx {
+                config,
+                state,
+                round,
+                failed: &[],
+                recovered: &[],
+                corrupted: &[],
+                ambient_chaos: false,
+                consumed_total: 0,
+                inserted_total: 0,
+                changed,
+            }
+        }
+        let monitor = |name: &str| -> Box<dyn Monitor> {
+            if name == "stabilization" {
+                return Box::new(StabilizationMonitor::with_bound(0));
+            }
+            standard_monitors(&cfg)
+                .into_iter()
+                .find(|m| m.name() == name)
+                .expect("a standard monitor")
+        };
+        let nothing: &[u32] = &[];
+        for (name, damage) in damages() {
+            let mut bad = clean.clone();
+            damage(&mut bad, dims);
+
+            let mut cold = monitor(name);
+            let seen = cold.observe(&ctx(&cfg, &bad, 1, Some(nothing)));
+            assert!(!seen.is_empty(), "{name}: a cold monitor trusted the slice");
+
+            let mut gap = monitor(name);
+            assert!(
+                gap.observe(&ctx(&cfg, &clean, 1, None)).is_empty(),
+                "{name}"
+            );
+            assert!(
+                gap.observe(&ctx(&cfg, &clean, 2, Some(nothing))).is_empty(),
+                "{name}"
+            );
+            // Round 3 is never observed; the damage lands in it.
+            let seen = gap.observe(&ctx(&cfg, &bad, 4, Some(nothing)));
+            assert!(
+                !seen.is_empty(),
+                "{name}: damage in a skipped round went unseen"
+            );
+        }
     }
 
     #[test]
@@ -835,6 +1232,7 @@ mod tests {
             ambient_chaos: false,
             consumed_total: 0,
             inserted_total: 2,
+            changed: None,
         };
         let vs = m.observe(&ctx);
         assert_eq!(vs.len(), 1);
@@ -861,6 +1259,7 @@ mod tests {
             ambient_chaos: false,
             consumed_total: 0,
             inserted_total: 0,
+            changed: None,
         };
         let vs = m.observe(&ctx);
         assert_eq!(vs.len(), 1);
@@ -881,6 +1280,7 @@ mod tests {
             ambient_chaos: false,
             consumed_total: 0,
             inserted_total: 5, // claims 5 inserted but the state is empty
+            changed: None,
         };
         let vs = m.observe(&ctx);
         assert_eq!(vs.len(), 1);
@@ -906,6 +1306,7 @@ mod tests {
                 ambient_chaos: false,
                 consumed_total: sys.consumed_total(),
                 inserted_total: sys.inserted_total(),
+                changed: None,
             };
             assert_eq!(m.observe(&ctx), Vec::new());
         }
@@ -924,6 +1325,7 @@ mod tests {
             ambient_chaos: false,
             consumed_total: sys.consumed_total(),
             inserted_total: sys.inserted_total(),
+            changed: None,
         };
         m.observe(&ctx);
         assert_eq!(m.stabilized_at().is_some(), {
@@ -951,6 +1353,7 @@ mod tests {
                 ambient_chaos: false,
                 consumed_total: sys.consumed_total(),
                 inserted_total: sys.inserted_total(),
+                changed: None,
             };
             fired.extend(m.observe(&ctx));
         }
@@ -973,6 +1376,7 @@ mod tests {
             ambient_chaos: false,
             consumed_total: 0,
             inserted_total: inserted,
+            changed: None,
         };
         static VICTIM: [CellId; 1] = [CellId::new(1, 1)];
         // Discontinuity round: the ledger says 3, the state holds 0. The
@@ -1004,6 +1408,7 @@ mod tests {
                 ambient_chaos: false,
                 consumed_total: sys.consumed_total(),
                 inserted_total: sys.inserted_total(),
+                changed: None,
             };
             m.observe(&ctx);
         }
@@ -1021,6 +1426,7 @@ mod tests {
             ambient_chaos: false,
             consumed_total: sys.consumed_total(),
             inserted_total: sys.inserted_total(),
+            changed: None,
         };
         m.observe(&disturbed);
         assert_eq!(probe.last_disturbance(), sys.round());
@@ -1078,6 +1484,7 @@ mod tests {
                 ambient_chaos: schedule.active(round),
                 consumed_total: sys.consumed_total(),
                 inserted_total: sys.inserted_total(),
+                changed: None,
             };
             assert_eq!(m.observe(&ctx), Vec::new(), "round {round}");
         }
@@ -1109,6 +1516,7 @@ mod tests {
                 ambient_chaos: true,
                 consumed_total: sys.consumed_total(),
                 inserted_total: sys.inserted_total(),
+                changed: None,
             })
         };
         assert_eq!(observe(&mut m, &sys, 1), Vec::new());
@@ -1149,6 +1557,7 @@ mod tests {
                 ambient_chaos: false,
                 consumed_total: sys.consumed_total(),
                 inserted_total: sys.inserted_total(),
+                changed: None,
             };
             m.observe(&ctx)
         };

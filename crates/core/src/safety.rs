@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use cellflow_geom::{sep_ok, Point};
 use cellflow_grid::CellId;
 
-use crate::{gap_free_toward, Entity, EntityId, SystemConfig, SystemState};
+use crate::{gap_free_toward, CellState, Entity, EntityId, SystemConfig, SystemState};
 
 /// A violation of `Safe(x)`: two entities on one cell within `d` on both axes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,19 +50,33 @@ impl std::error::Error for SafetyViolation {}
 /// Returns the first violating pair found (deterministic order).
 pub fn check_safe(config: &SystemConfig, state: &SystemState) -> Result<(), SafetyViolation> {
     let dims = config.dims();
-    let d = config.params().d();
     for id in dims.iter() {
-        let cell = state.cell(dims, id);
-        let entities: Vec<Entity> = cell.entities().collect();
-        for (a_idx, a) in entities.iter().enumerate() {
-            for b in &entities[a_idx + 1..] {
-                if !sep_ok(a.pos, b.pos, d) {
-                    return Err(SafetyViolation {
-                        cell: id,
-                        first: *a,
-                        second: *b,
-                    });
-                }
+        check_safe_cell(config, id, state.cell(dims, id))?;
+    }
+    Ok(())
+}
+
+/// [`check_safe`] on one cell `id` holding `cell`: the per-cell check the
+/// whole-grid scan and the incremental safety monitor share.
+///
+/// # Errors
+///
+/// Returns the cell's first violating pair (members in id order).
+pub fn check_safe_cell(
+    config: &SystemConfig,
+    id: CellId,
+    cell: &CellState,
+) -> Result<(), SafetyViolation> {
+    let d = config.params().d();
+    let mut rest = cell.members.iter();
+    while let Some((&a, &pa)) = rest.next() {
+        for (&b, &pb) in rest.clone() {
+            if !sep_ok(pa, pb, d) {
+                return Err(SafetyViolation {
+                    cell: id,
+                    first: Entity::new(a, pa),
+                    second: Entity::new(b, pb),
+                });
             }
         }
     }
@@ -100,13 +114,27 @@ impl std::error::Error for MarginViolation {}
 pub fn check_invariant1(config: &SystemConfig, state: &SystemState) -> Result<(), MarginViolation> {
     let dims = config.dims();
     for id in dims.iter() {
-        for e in state.cell(dims, id).entities() {
-            if !crate::source::within_cell_margins(config.params(), id, e.pos) {
-                return Err(MarginViolation {
-                    cell: id,
-                    entity: e,
-                });
-            }
+        check_invariant1_cell(config, id, state.cell(dims, id))?;
+    }
+    Ok(())
+}
+
+/// [`check_invariant1`] on one cell `id` holding `cell`.
+///
+/// # Errors
+///
+/// Returns the cell's first protruding entity.
+pub fn check_invariant1_cell(
+    config: &SystemConfig,
+    id: CellId,
+    cell: &CellState,
+) -> Result<(), MarginViolation> {
+    for e in cell.entities() {
+        if !crate::source::within_cell_margins(config.params(), id, e.pos) {
+            return Err(MarginViolation {
+                cell: id,
+                entity: e,
+            });
         }
     }
     Ok(())

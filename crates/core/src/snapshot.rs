@@ -38,7 +38,7 @@ use cellflow_telemetry::recording::{
     FrameKind, RecHeader, Recording, RecordingWriter, REC_SCHEMA_VERSION,
 };
 
-use crate::engine::Engine;
+use crate::engine::{CellScope, Engine};
 use crate::hash::fnv1a;
 use crate::{CellState, EntityId, SystemConfig, SystemState};
 
@@ -204,18 +204,43 @@ pub fn encode_delta_into(out: &mut Vec<u8>, prev: &SystemState, cur: &SystemStat
         cur.cells.len(),
         "delta endpoints must share a grid"
     );
-    put_u64(out, cur.next_entity_id);
-    let count_at = out.len();
-    put_u32(out, 0);
-    let mut changed = 0u32;
+    let mut delta = DeltaBody::begin(out, cur.next_entity_id);
     for (k, (p, c)) in prev.cells.iter().zip(cur.cells.iter()).enumerate() {
         if p != c {
-            put_u32(out, k as u32);
-            put_cell(out, c);
-            changed += 1;
+            delta.cell(out, k, c);
         }
     }
-    out[count_at..count_at + 4].copy_from_slice(&changed.to_le_bytes());
+    delta.finish(out);
+}
+
+/// A delta body being appended to a buffer: the header first, then one
+/// `[index][cell]` entry per changed cell (callers list them in ascending
+/// index order), with the entry count patched in by [`DeltaBody::finish`].
+struct DeltaBody {
+    count_at: usize,
+    listed: u32,
+}
+
+impl DeltaBody {
+    fn begin(out: &mut Vec<u8>, next_entity_id: u64) -> DeltaBody {
+        put_u64(out, next_entity_id);
+        let count_at = out.len();
+        put_u32(out, 0);
+        DeltaBody {
+            count_at,
+            listed: 0,
+        }
+    }
+
+    fn cell(&mut self, out: &mut Vec<u8>, k: usize, cell: &CellState) {
+        put_u32(out, k as u32);
+        put_cell(out, cell);
+        self.listed += 1;
+    }
+
+    fn finish(self, out: &mut [u8]) {
+        out[self.count_at..self.count_at + 4].copy_from_slice(&self.listed.to_le_bytes());
+    }
 }
 
 /// [`encode_delta_into`] into a fresh buffer.
@@ -629,8 +654,10 @@ pub struct Recorder {
     /// The previously recorded state (delta base); `None` before the first
     /// frame.
     prev: Option<SystemState>,
-    /// Reusable mirror for [`Recorder::record_engine`] exports.
-    mirror: Option<SystemState>,
+    /// The engine round [`Recorder::record_engine`] last recorded; `None`
+    /// before that, or after a by-hand [`Recorder::record`]. Only a frame
+    /// exactly one round later may diff just the engine's changed slice.
+    engine_round: Option<u64>,
     /// Reusable frame-body buffer.
     scratch: Vec<u8>,
 }
@@ -651,7 +678,7 @@ impl Recorder {
             writer: RecordingWriter::new(header),
             keyframe_interval,
             prev: None,
-            mirror: None,
+            engine_round: None,
             scratch: Vec::new(),
         }
     }
@@ -684,19 +711,50 @@ impl Recorder {
             Some(p) => p.clone_from(state),
             None => self.prev = Some(state.clone()),
         }
+        self.engine_round = None;
     }
 
-    /// Exports `engine`'s current state into an internal mirror (reusing its
-    /// allocations round over round) and records it at the engine's current
-    /// round number.
+    /// Records `engine`'s current state at the engine's current round
+    /// number, producing exactly the bytes [`Recorder::record`] would for
+    /// the exported state. When the previous frame was the engine's
+    /// previous round, only the engine's changed slice
+    /// ([`Engine::changed_cells`]) is exported, diffed and copied into the
+    /// delta base; otherwise every cell is.
     pub fn record_engine(&mut self, engine: &Engine) {
-        let mut mirror = match self.mirror.take() {
-            Some(m) if m.cells.len() == engine.config().dims().cell_count() => m,
-            _ => engine.config().initial_state(),
+        let round = engine.round();
+        let n = engine.config().dims().cell_count();
+        let fresh = !matches!(&self.prev, Some(p) if p.cells.len() == n);
+        let keyframe = fresh || self.writer.rounds().is_multiple_of(self.keyframe_interval);
+        let changed = match self.engine_round {
+            Some(last) if !fresh && last + 1 == round => engine.changed_cells(),
+            _ => None,
         };
-        engine.store_state(&mut mirror);
-        self.record(engine.round(), &mirror);
-        self.mirror = Some(mirror);
+        let prev = match &mut self.prev {
+            Some(p) if !fresh => p,
+            slot => slot.insert(engine.config().initial_state()),
+        };
+        let cells = CellScope::new(changed, n);
+        prev.next_entity_id = engine.next_entity_id();
+        self.scratch.clear();
+        if keyframe {
+            for k in cells {
+                engine.store_cell(k, &mut prev.cells[k]);
+            }
+            encode_state_into(&mut self.scratch, prev);
+            self.writer.push(round, FrameKind::Keyframe, &self.scratch);
+        } else {
+            // Exactly `encode_delta_into`'s output: a cell is listed iff its
+            // exported state differs from the delta base, ascending.
+            let mut delta = DeltaBody::begin(&mut self.scratch, prev.next_entity_id);
+            for k in cells {
+                if engine.store_cell(k, &mut prev.cells[k]) {
+                    delta.cell(&mut self.scratch, k, &prev.cells[k]);
+                }
+            }
+            delta.finish(&mut self.scratch);
+            self.writer.push(round, FrameKind::Delta, &self.scratch);
+        }
+        self.engine_round = Some(round);
     }
 
     /// State frames recorded so far.

@@ -9,7 +9,7 @@ use cellflow_geom::Point;
 use cellflow_grid::{CellId, GridDims};
 use cellflow_routing::Dist;
 
-use crate::engine::{Engine, NeighborTable};
+use crate::engine::{CellScope, Engine, NeighborTable};
 use crate::fault::Corruption;
 use crate::{CellState, Entity, EntityId, Params, RoundEvents, SourcePolicy, TokenPolicy};
 
@@ -353,20 +353,23 @@ impl SystemState {
 /// round number, and cumulative counters — the convenient facade over the
 /// round transition used by simulations, examples and tests.
 ///
-/// Rounds execute on the arena-backed [`Engine`]; a [`SystemState`] mirror is
-/// kept in sync after every step so monitors, safety checks and serialization
-/// keep their structured view of the state. Mutators (fault injection,
-/// [`System::set_state`], entity seeding) edit the mirror and mark the engine
-/// stale; the next step re-imports it. The engine's transition is proven
-/// equivalent to the pure [`update`](crate::update) composition by
+/// Rounds execute on the arena-backed [`Engine`], the one owner of the
+/// protocol state. A [`SystemState`] mirror keeps monitors, safety checks
+/// and serialization on their structured view: after every step it copies
+/// exactly the engine's changed slice ([`System::changed_cells`]), so a
+/// round costs O(changed cells), not O(cells). Mutators write through to
+/// the engine at once: fault injection ([`System::fail`],
+/// [`System::recover`], [`System::corrupt`]) edits one mirror cell and
+/// point-writes it with [`Engine::load_cell`]; wholesale replacements
+/// ([`System::set_state`], [`System::seed_entity`]) reload the engine with
+/// [`Engine::load_state`]. The engine's transition is proven equivalent to
+/// the pure [`update`](crate::update) composition by
 /// `tests/engine_differential.rs`.
 #[derive(Clone, Debug)]
 pub struct System {
     config: SystemConfig,
     state: SystemState,
     engine: Engine,
-    /// `false` whenever `state` was mutated behind the engine's back.
-    engine_synced: bool,
     round: u64,
     consumed_total: u64,
     inserted_total: u64,
@@ -381,7 +384,6 @@ impl System {
             config,
             state,
             engine,
-            engine_synced: true,
             round: 0,
             consumed_total: 0,
             inserted_total: 0,
@@ -398,6 +400,12 @@ impl System {
         &self.state
     }
 
+    /// The engine that owns the protocol state (read-only: every write goes
+    /// through the `System` mutators, which keep the mirror in step).
+    pub fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
     /// Replaces the current state (fault injection / replay).
     pub fn set_state(&mut self, state: SystemState) {
         assert_eq!(
@@ -406,7 +414,7 @@ impl System {
             "state size must match the grid"
         );
         self.state = state;
-        self.engine_synced = false;
+        self.engine.load_state(&self.state);
     }
 
     /// The state of cell `id`.
@@ -471,14 +479,9 @@ impl System {
     }
 
     /// Attaches a flight recorder to the underlying engine (see
-    /// [`Engine::attach_recorder`]). The engine is synced with the mirror
-    /// first so the opening keyframe is the state visible right now, at the
-    /// current round number.
+    /// [`Engine::attach_recorder`]). The opening keyframe is the state
+    /// visible right now, at the current round number.
     pub fn attach_recorder(&mut self, recorder: Box<crate::snapshot::Recorder>) {
-        if !self.engine_synced {
-            self.engine.load_state(&self.state);
-            self.engine_synced = true;
-        }
         self.engine.set_round(self.round);
         self.engine.attach_recorder(recorder);
     }
@@ -527,17 +530,24 @@ impl System {
     /// Executes one `update` transition (one synchronous round) and returns
     /// what happened.
     pub fn step(&mut self) -> RoundEvents {
-        if !self.engine_synced {
-            self.engine.load_state(&self.state);
-            self.engine_synced = true;
-        }
         self.engine.set_round(self.round);
         let events = self.engine.step().clone();
-        self.engine.store_state(&mut self.state);
+        let n = self.state.cells.len();
+        for k in CellScope::new(self.engine.changed_cells(), n) {
+            self.engine.store_cell(k, &mut self.state.cells[k]);
+        }
+        self.state.next_entity_id = self.engine.next_entity_id();
         self.round += 1;
         self.consumed_total += events.consumed.len() as u64;
         self.inserted_total += events.inserted.len() as u64;
         events
+    }
+
+    /// The cells the most recent [`System::step`] changed in the mirror,
+    /// fault writes applied before it included (see
+    /// [`Engine::changed_cells`]); `None` means any cell may have changed.
+    pub fn changed_cells(&self) -> Option<&[u32]> {
+        self.engine.changed_cells()
     }
 
     /// Runs `rounds` update transitions.
@@ -558,8 +568,7 @@ impl System {
     ///
     /// Panics if `masks.len()` differs from the number of cells.
     pub fn set_link_cuts(&mut self, masks: &[u8]) {
-        // Deliberately does not clear `engine_synced`: cuts live beside the
-        // protocol state and survive `load_state`.
+        // Cuts live beside the protocol state and survive `load_state`.
         self.engine.set_link_cuts(masks);
     }
 
@@ -575,7 +584,7 @@ impl System {
     /// Panics if `id` is out of bounds.
     pub fn fail(&mut self, id: CellId) {
         self.state.fail(self.config.dims(), id);
-        self.engine_synced = false;
+        self.write_through(id);
     }
 
     /// Recovers cell `id` (see [`SystemState::recover`]).
@@ -586,7 +595,7 @@ impl System {
     pub fn recover(&mut self, id: CellId) {
         let target = self.config.target();
         self.state.recover(self.config.dims(), id, target);
-        self.engine_synced = false;
+        self.write_through(id);
     }
 
     /// Applies a transient state corruption to cell `id` (see
@@ -598,7 +607,13 @@ impl System {
     pub fn corrupt(&mut self, id: CellId, corruption: Corruption) {
         let cell = self.state.cell_mut(self.config.dims(), id);
         corruption.apply(&self.config, id, cell);
-        self.engine_synced = false;
+        self.write_through(id);
+    }
+
+    /// Point-writes mirror cell `id` into the engine.
+    fn write_through(&mut self, id: CellId) {
+        self.engine
+            .load_cell(id, self.state.cell(self.config.dims(), id));
     }
 
     /// Places an entity with a fresh identifier at `pos` on cell `id`,
@@ -626,7 +641,7 @@ impl System {
         let eid = EntityId(self.state.next_entity_id);
         self.state.next_entity_id += 1;
         self.state.cell_mut(dims, id).members.insert(eid, pos);
-        self.engine_synced = false;
+        self.engine.load_state(&self.state);
         Ok(eid)
     }
 }

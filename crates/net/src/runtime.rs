@@ -1637,6 +1637,8 @@ fn collect_rounds(
                 || partition.is_some_and(|s| s.active(round)),
             consumed_total,
             inserted_total,
+            // The collector assembles a fresh state every round.
+            changed: None,
         };
         let fresh_violations = violations.len();
         for monitor in monitors.iter_mut() {

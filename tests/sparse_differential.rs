@@ -121,6 +121,7 @@ impl Variant {
             ambient_chaos: false,
             consumed_total: self.system.consumed_total(),
             inserted_total: self.system.inserted_total(),
+            changed: self.system.changed_cells(),
         };
         for monitor in self.monitors.iter_mut() {
             self.violations.extend(monitor.observe(&ctx));
