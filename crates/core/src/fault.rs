@@ -44,9 +44,9 @@ pub enum FaultKind {
     ///
     /// [`HardCrash`]: FaultKind::HardCrash
     Recover,
-    /// A crash that a deployment realizes by terminating the cell's thread;
-    /// the paired [`Recover`] re-spawns it. Observationally identical to
-    /// [`Crash`] in the shared-variable model.
+    /// A crash that a deployment realizes by dropping the cell's in-memory
+    /// node; the paired [`Recover`] re-spawns it from the snapshot store.
+    /// Observationally identical to [`Crash`] in the shared-variable model.
     ///
     /// [`Crash`]: FaultKind::Crash
     /// [`Recover`]: FaultKind::Recover
@@ -431,7 +431,7 @@ impl FaultPlan {
     }
 
     /// The earliest [`FaultKind::Recover`] of `cell` strictly after `round` —
-    /// where a hard-crashed cell's thread re-spawns. `None` means the cell
+    /// where a hard-crashed cell re-spawns. `None` means the cell
     /// stays dead.
     pub fn respawn_round_after(&self, cell: CellId, round: u64) -> Option<u64> {
         self.events

@@ -4,10 +4,12 @@
 //! sketches the translation: *"At the beginning of each round,
 //! `Cell_{i,j}` broadcasts messages containing the values of these variables
 //! and receives similar values from its neighbors"* (§II-B). This crate is
-//! that translation made concrete: **one OS thread per cell**, unidirectional
-//! channels along every grid edge, and no shared state whatsoever — each cell
-//! owns its [`CellState`](cellflow_core::CellState) and learns about its
-//! neighbors exclusively through messages.
+//! that translation made concrete: one node per cell, unidirectional channels
+//! along every grid edge, and no shared state whatsoever — each cell owns its
+//! [`CellState`](cellflow_core::CellState) and learns about its neighbors
+//! exclusively through messages. One driver runs every deployment: workers
+//! that each drive a contiguous shard of cells, one worker per cell up to
+//! the worker cap ([`NetSystem::with_worker_cap`], default 64).
 //!
 //! # Round structure
 //!
@@ -36,9 +38,9 @@
 //! state.
 //!
 //! Scripted faults come from a [`FaultPlan`](cellflow_core::FaultPlan):
-//! protocol-level crash/recover flags, *hard* crashes that kill the cell's
-//! thread and re-spawn a successor from a checkpoint at the scripted
-//! recovery round, and unrecoverable kills. Round synchronization uses a
+//! protocol-level crash/recover flags, *hard* crashes that drop the cell's
+//! in-memory node and restore it from the snapshot store at the scripted
+//! respawn round, and unrecoverable kills. Round synchronization uses a
 //! timeout-guarded barrier ([`sync::RoundBarrier`]): a silent neighbor
 //! poisons the barrier and the run returns a typed
 //! [`NetError::Timeout`] instead of deadlocking.

@@ -272,13 +272,7 @@ impl CellNode {
         self.round += 1;
     }
 
-    /// Consumes the node, yielding its final state (for assembly into a
-    /// whole-system snapshot).
-    pub fn into_state(self) -> CellState {
-        self.state
-    }
-
-    /// Captures everything a re-spawned thread needs to impersonate this
+    /// Captures everything a re-spawned node needs to impersonate this
     /// node: the protocol state plus the private counters (source pool
     /// position, consumed/inserted tallies).
     ///
@@ -296,7 +290,7 @@ impl CellNode {
     }
 
     /// Rebuilds the node for `id` from a checkpoint, resuming at
-    /// `resume_round` (the round the re-spawned thread participates in
+    /// `resume_round` (the round the re-spawned node participates in
     /// first; the internal round counter feeds the token policy, so it must
     /// match the global round, not the crash round).
     pub fn restore(

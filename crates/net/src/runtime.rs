@@ -1,6 +1,7 @@
-//! The concurrent runtime: one thread per cell, transport links along grid
-//! edges, timeout-guarded barrier-synchronized rounds, scripted faults, and
-//! an optional monitor collector.
+//! The concurrent runtime: deployment workers that each drive a contiguous
+//! shard of cells (one cell per worker up to the worker cap), transport
+//! links along grid edges, timeout-guarded barrier-synchronized rounds,
+//! scripted faults, and an optional monitor collector.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,7 +52,8 @@ pub struct NetReport {
 /// Error from a message-passing run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NetError {
-    /// A cell thread panicked (carries the panic message when printable).
+    /// A deployment worker panicked (carries the panic message when
+    /// printable).
     NodePanicked(String),
     /// A round failed to complete within the round timeout: some cell
     /// stopped responding without a scripted hand-over (e.g. a
@@ -84,7 +86,7 @@ pub enum NetError {
 impl core::fmt::Display for NetError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            NetError::NodePanicked(msg) => write!(f, "a cell thread panicked: {msg}"),
+            NetError::NodePanicked(msg) => write!(f, "a deployment worker panicked: {msg}"),
             NetError::Timeout {
                 round,
                 cell,
@@ -113,21 +115,20 @@ impl std::error::Error for NetError {}
 /// of compute), low enough that a wedged deployment dies promptly.
 const DEFAULT_ROUND_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Default worker-pool cap. Grids up to this many cells keep the
-/// one-thread-per-cell deployment (maximal concurrency, the configuration
-/// every equivalence proof historically ran on); larger grids multiplex
-/// contiguous shards of cells onto this many pooled workers instead of
-/// spawning thousands of OS threads — a 64×64 grid would otherwise need
-/// 4096 of them.
+/// Default worker cap. Grids up to this many cells get one worker per cell
+/// (maximal concurrency); larger grids multiplex contiguous shards of cells
+/// onto this many workers instead of spawning thousands of OS threads — a
+/// 64×64 grid would otherwise need 4096 of them.
 const DEFAULT_WORKER_CAP: usize = 64;
 
-/// A message-passing deployment of the protocol: `N²` independent cell
-/// threads that share **nothing** and communicate only over per-edge
-/// transport links, synchronized into rounds by a timeout-guarded barrier.
+/// A message-passing deployment of the protocol: `N²` cell nodes that share
+/// **nothing** and communicate only over per-edge transport links,
+/// synchronized into rounds by a timeout-guarded barrier, driven by
+/// deployment workers (see [`NetSystem::with_worker_cap`]).
 ///
 /// See the crate docs for the round structure and the equivalence guarantee
 /// against the shared-variable reference; see [`FaultPlan`] for scripting
-/// crashes, hard thread-killing crashes with checkpointed re-spawn, and
+/// crashes, hard crashes with re-spawn from the snapshot store, and
 /// unrecoverable kills, and [`ChaosConfig`] for message-level fault
 /// injection.
 pub struct NetSystem {
@@ -192,15 +193,15 @@ impl NetSystem {
         })
     }
 
-    /// Caps the deployment's thread count. Grids with at most `cap` cells
-    /// run one thread per cell; larger grids multiplex contiguous
-    /// cell-id-ordered shards onto `cap` pooled workers, each arriving at
-    /// the round barrier once per shard
-    /// ([`RoundBarrier`](crate::RoundBarrier)`::arrive_many`). The pooled
-    /// path exchanges the same messages over the same transports in the
-    /// same rounds, so reports are identical to the thread-per-cell
-    /// deployment — including timeout attribution: a killed cell's seat
-    /// stops arriving and the stall still names it. Default: 64.
+    /// Caps the deployment's worker threads. The grid's cells are split into
+    /// contiguous cell-id-ordered shards of `⌈cells / cap⌉` cells, one
+    /// worker each — so grids with at most `cap` cells get one worker per
+    /// cell. A worker arrives at the round barrier once per wait for its
+    /// whole shard ([`RoundBarrier::arrive_many`]).
+    /// Every cap exchanges the same messages over the same transports in
+    /// the same rounds, so reports do not depend on it — including timeout
+    /// attribution: a killed cell's seat stops arriving and the stall still
+    /// names it. Default: 64.
     pub fn with_worker_cap(mut self, cap: usize) -> NetSystem {
         self.worker_cap = cap.max(1);
         self
@@ -285,7 +286,7 @@ impl NetSystem {
         self
     }
 
-    /// Scripts a *dirty* crash: at `tear.round` the cell's thread dies
+    /// Scripts a *dirty* crash: at `tear.round` the cell's node dies
     /// mid-round — its write-ahead record tears halfway through the write,
     /// no transfers are sent, and the round is never sealed. The re-spawn at
     /// `tear.respawn` therefore restores the last durable *sealed* snapshot,
@@ -334,7 +335,7 @@ impl NetSystem {
     ///
     /// # Errors
     ///
-    /// [`NetError::NodePanicked`] if a cell thread panicked;
+    /// [`NetError::NodePanicked`] if a deployment worker panicked;
     /// [`NetError::Timeout`] if a cell went silent without a scripted
     /// hand-over (e.g. [`FaultKind::Kill`]) and the survivors timed out.
     pub fn run(&self, rounds: u64) -> Result<NetReport, NetError> {
@@ -383,7 +384,7 @@ impl NetSystem {
         let collect = !monitors.is_empty() || recorder.is_some();
 
         // Supervision is a deterministic plan rewrite, applied up front:
-        // node threads and the collector both consume the effective plan.
+        // workers and the collector both consume the effective plan.
         let (effective, decisions) = self.policy.rewrite(&self.plan);
         let telemetry = self.telemetry.as_deref();
         if let Some(tel) = telemetry {
@@ -475,34 +476,23 @@ impl NetSystem {
                     .map(|t| t.messages_sent.clone())
                     .unwrap_or_else(Counter::noop),
             };
-            if n <= self.worker_cap {
-                // One thread per cell: maximal concurrency, the deployment
-                // shape every equivalence argument was first made on.
-                for &id in &cells {
-                    let node = CellNode::new(id, &self.config);
-                    let seat = seat_for(id, &mut inboxes, &node);
-                    scope.spawn(move |scope| drive(scope, ctx, node, seat, 0));
-                }
-            } else {
-                // Pooled: contiguous cell-id-ordered shards, one worker
-                // each, batched barrier arrivals. Same messages, same
-                // rounds, same reports — without n OS threads.
-                for shard in cells.chunks(n.div_ceil(self.worker_cap)) {
-                    let slots: Vec<ShardSlot> = shard
-                        .iter()
-                        .map(|&id| {
-                            let node = CellNode::new(id, &self.config);
-                            let seat = seat_for(id, &mut inboxes, &node);
-                            ShardSlot {
-                                id,
-                                node,
-                                seat,
-                                state: SlotState::Active,
-                            }
-                        })
-                        .collect();
-                    scope.spawn(move |_| drive_shard(ctx, slots));
-                }
+            // Contiguous cell-id-ordered shards, one worker each: one cell
+            // per worker whenever the grid fits under the cap.
+            for shard in cells.chunks(n.div_ceil(self.worker_cap)) {
+                let slots: Vec<ShardSlot> = shard
+                    .iter()
+                    .map(|&id| {
+                        let node = CellNode::new(id, &self.config);
+                        let seat = seat_for(id, &mut inboxes, &node);
+                        ShardSlot {
+                            id,
+                            node,
+                            seat,
+                            state: SlotState::Active,
+                        }
+                    })
+                    .collect();
+                scope.spawn(move |_| drive_shard(ctx, slots));
             }
             drop(result_tx);
             drop(snap_tx);
@@ -559,9 +549,9 @@ impl NetSystem {
                         inserted += i;
                         states.insert(id, state);
                     }
-                    // All node threads exited without all reporting: the
-                    // barrier poison tells us why; otherwise a thread
-                    // panicked (the scope join will surface the payload).
+                    // All workers exited without all reporting: the barrier
+                    // poison tells us why; otherwise a worker panicked (the
+                    // scope join will surface the payload).
                     Err(_) => match barrier.poison() {
                         Some(p) => {
                             let round = p.round();
@@ -714,7 +704,7 @@ impl NetSystem {
     }
 }
 
-/// Run-wide immutable context shared by every node thread.
+/// Run-wide immutable context shared by every deployment worker.
 #[derive(Clone, Copy)]
 struct RunCtx<'a> {
     config: &'a SystemConfig,
@@ -729,21 +719,8 @@ struct RunCtx<'a> {
 }
 
 impl RunCtx<'_> {
-    /// A barrier wait, timed into the telemetry histogram when attached.
-    fn wait(&self, cell: CellId) -> Result<(), PoisonInfo> {
-        match self.telemetry {
-            None => self.barrier.wait(cell),
-            Some(t) => {
-                let span = t.barrier_wait_ns.start();
-                let result = self.barrier.wait(cell);
-                drop(span);
-                result
-            }
-        }
-    }
-
-    /// A batched barrier arrival for a pooled shard — one check-in for every
-    /// live seat the worker drives — timed like [`RunCtx::wait`].
+    /// A batched barrier arrival — one check-in for every live seat the
+    /// worker drives — timed into the telemetry histogram when attached.
     fn wait_many(&self, cells: &[CellId]) -> Result<(), PoisonInfo> {
         match self.telemetry {
             None => self.barrier.arrive_many(cells),
@@ -772,17 +749,10 @@ impl RunCtx<'_> {
     fn cause(&self, round: u64, cell: CellId) -> u64 {
         self.tracer.map_or(0, |t| t.cell_round_id(round + 1, cell))
     }
-
-    /// Records how many envelopes one inbox drain pulled.
-    fn observe_drain(&self, drained: u64) {
-        if let Some(t) = self.telemetry {
-            t.inbox_batch.observe(drained);
-        }
-    }
 }
 
-/// One node thread's connections (everything but the node itself, which a
-/// hard-crash re-spawn replaces from a checkpoint).
+/// One cell's connections (everything but the node itself, which a
+/// hard-crash re-spawn replaces from the snapshot store).
 struct Seat {
     inbox: Receiver<Envelope>,
     links: Vec<(CellId, Box<dyn crate::transport::EdgeLink>)>,
@@ -825,8 +795,8 @@ enum SlotState {
     Gone,
 }
 
-/// One cell multiplexed onto a pooled worker: the same node + seat a
-/// dedicated thread would own, plus where it is in its lifecycle.
+/// One cell driven by a deployment worker: its node and seat, plus where
+/// it is in its lifecycle.
 struct ShardSlot {
     id: CellId,
     node: CellNode,
@@ -835,12 +805,30 @@ struct ShardSlot {
 }
 
 impl ShardSlot {
-    /// Reports this slot's final state on the result channel — the pooled
-    /// analogue of `drive`'s exit report.
+    /// Reports this slot's final state on the result channel.
     fn report(&mut self) {
         let state = self.node.state().clone();
         let (c, i) = (self.node.consumed, self.node.inserted);
         self.seat.result_tx.send((self.id, state, c, i)).ok();
+    }
+
+    /// Takes the slot out of the rounds after a hard crash or tear: its
+    /// barrier seat is reserved again at `respawn` when that round falls
+    /// inside the run (a re-spawn pushed past the end, e.g. by supervisor
+    /// backoff, counts as none); otherwise it leaves for good and reports
+    /// its final state, since nobody else will speak for the cell.
+    fn go_down(&mut self, ctx: RunCtx<'_>, respawn: Option<u64>) {
+        match respawn {
+            Some(respawn) if respawn < ctx.rounds => {
+                ctx.barrier.leave_and_rejoin_at(respawn * WAITS_PER_ROUND);
+                self.state = SlotState::Dormant { respawn };
+            }
+            _ => {
+                ctx.barrier.leave();
+                self.report();
+                self.state = SlotState::Gone;
+            }
+        }
     }
 }
 
@@ -853,315 +841,34 @@ struct Snapshot {
     inserted: u64,
 }
 
-/// The per-cell thread body, resumable: a hard-crash re-spawn re-enters it
-/// at `start_round` with the restored node. Exits silently when the barrier
-/// poisons (the coordinator reads the poison) or a scripted kill fires.
-fn drive<'scope, 'env>(
-    scope: &crossbeam::thread::Scope<'scope, 'env>,
-    ctx: RunCtx<'scope>,
-    mut node: CellNode,
-    mut seat: Seat,
-    start_round: u64,
-) {
-    let id = node.id();
-    for round in start_round..ctx.rounds {
-        // Dropped at the end of the iteration: wall-clock of one full round
-        // on this cell's thread, barrier waits included.
-        let _round_span = ctx.telemetry.map(|t| t.cell_round_ns.start());
-
-        // Scripted fault transitions at the start of the round.
-        for event in ctx.plan.events_at_for(round, id) {
-            match event.kind {
-                FaultKind::Crash | FaultKind::OverloadCrash => node.fail(),
-                FaultKind::Recover => node.recover(),
-                FaultKind::Corrupt(c) => node.corrupt(c),
-                FaultKind::HardCrash => {
-                    // The deployment-level crash: apply the protocol `fail`
-                    // (so the persisted snapshot is the paper's frozen
-                    // failed state), seal it into the store, hand the
-                    // barrier seat over to the scripted re-spawn (if any),
-                    // and let this thread die. The re-spawn restores from
-                    // the store — the uniform recovery path.
-                    node.fail();
-                    let record = PersistedRecord {
-                        round,
-                        point: RecordPoint::Sealed,
-                        checkpoint: node.checkpoint(),
-                    };
-                    ctx.persist(id, &record);
-                    match ctx.plan.respawn_round_after(id, round) {
-                        Some(respawn) if respawn < ctx.rounds => {
-                            ctx.barrier.leave_and_rejoin_at(respawn * WAITS_PER_ROUND);
-                            scope.spawn(move |scope| respawn_cell(scope, ctx, id, seat, respawn));
-                        }
-                        // No re-spawn (or one past the end of the run,
-                        // e.g. pushed there by supervisor backoff).
-                        _ => {
-                            ctx.barrier.leave();
-                            // Report the frozen final state now; nobody
-                            // else will speak for this cell.
-                            let (c, i) = (node.consumed, node.inserted);
-                            seat.result_tx.send((id, node.into_state(), c, i)).ok();
-                        }
-                    }
-                    return;
-                }
-                FaultKind::Kill => {
-                    // Vanish without ceremony: no leave, no report. The
-                    // neighbors' next barrier wait times out and the run
-                    // degrades to a typed error instead of deadlocking.
-                    return;
-                }
-            }
-        }
-
-        // Scripted dirty crash: the thread dies mid-round — the write-ahead
-        // record tears halfway through its write, nothing is sent, and the
-        // round is never sealed. The re-spawn will restore the last durable
-        // *sealed* snapshot, which is stale by construction.
-        if let Some(&tear) = ctx.tears.iter().find(|t| t.cell == id && t.round == round) {
-            let record = PersistedRecord {
-                round,
-                point: RecordPoint::Intent,
-                checkpoint: node.checkpoint(),
-            };
-            ctx.store
-                .append_torn(id, &record)
-                .expect("snapshot store append");
-            if let Some(t) = ctx.telemetry {
-                t.wal_appends.inc();
-            }
-            if tear.respawn < ctx.rounds {
-                ctx.barrier
-                    .leave_and_rejoin_at(tear.respawn * WAITS_PER_ROUND);
-                scope.spawn(move |scope| respawn_cell(scope, ctx, id, seat, tear.respawn));
-            } else {
-                ctx.barrier.leave();
-                let (c, i) = (node.consumed, node.inserted);
-                seat.result_tx.send((id, node.into_state(), c, i)).ok();
-            }
-            return;
-        }
-
-        // Exchange 1: dist → Route.
-        let cause = ctx.cause(round, id);
-        if let Some(dist) = node.announce_dist() {
-            seat.broadcast(round, cause, || Message::DistAnnounce { from: id, dist });
-        }
-        seat.flush();
-        if ctx.wait(id).is_err() {
-            return;
-        }
-        let mut dists = HashMap::new();
-        let mut drained = 0u64;
-        for env in seat.inbox.try_iter() {
-            drained += 1;
-            if env.round != round {
-                continue; // a delayed straggler: footnote-1 silence
-            }
-            if let Message::DistAnnounce { from, dist } = env.msg {
-                dists.insert(from, dist);
-            }
-        }
-        ctx.observe_drain(drained);
-        if ctx.wait(id).is_err() {
-            return;
-        }
-        node.route_step(&dists);
-
-        // Exchange 2: (next, nonempty) → Signal.
-        if let Some((next, nonempty)) = node.announce_route() {
-            seat.broadcast(round, cause, || Message::RouteAnnounce {
-                from: id,
-                next,
-                nonempty,
-            });
-        }
-        seat.flush();
-        if ctx.wait(id).is_err() {
-            return;
-        }
-        let mut routes = HashMap::new();
-        let mut drained = 0u64;
-        for env in seat.inbox.try_iter() {
-            drained += 1;
-            if env.round != round {
-                continue;
-            }
-            if let Message::RouteAnnounce {
-                from,
-                next,
-                nonempty,
-            } = env.msg
-            {
-                routes.insert(from, (next, nonempty));
-            }
-        }
-        ctx.observe_drain(drained);
-        if ctx.wait(id).is_err() {
-            return;
-        }
-        node.signal_step(&routes);
-
-        // Exchange 3: signal → Move.
-        if let Some(signal) = node.announce_signal() {
-            seat.broadcast(round, cause, || Message::SignalAnnounce { from: id, signal });
-        }
-        seat.flush();
-        if ctx.wait(id).is_err() {
-            return;
-        }
-        let mut signals = HashMap::new();
-        let mut drained = 0u64;
-        for env in seat.inbox.try_iter() {
-            drained += 1;
-            if env.round != round {
-                continue;
-            }
-            if let Message::SignalAnnounce { from, signal } = env.msg {
-                signals.insert(from, signal);
-            }
-        }
-        ctx.observe_drain(drained);
-        if ctx.wait(id).is_err() {
-            return;
-        }
-
-        // Exchange 4: Move — transfers travel as (chaos-exempt) messages.
-        // The write-ahead discipline: persist an intent record *before* any
-        // transfer leaves, so a crash between send and seal is visible in
-        // the store instead of silently losing the round.
-        let outgoing = node.move_step(&signals);
-        if !outgoing.is_empty() {
-            let record = PersistedRecord {
-                round,
-                point: RecordPoint::Intent,
-                checkpoint: node.checkpoint(),
-            };
-            ctx.persist(id, &record);
-        }
-        for (to, entity, pos) in outgoing {
-            let link = seat
-                .links
-                .iter_mut()
-                .find(|(nb, _)| *nb == to)
-                .map(|(_, l)| l)
-                .expect("transfers go to neighbors");
-            link.send(Envelope {
-                round,
-                cause,
-                msg: Message::Transfer {
-                    from: id,
-                    entity,
-                    pos,
-                },
-            });
-            seat.messages.inc();
-        }
-        seat.flush();
-        if ctx.wait(id).is_err() {
-            return;
-        }
-        let mut drained = 0u64;
-        let transfers: Vec<_> = seat
-            .inbox
-            .try_iter()
-            .inspect(|_| drained += 1)
-            .filter_map(|env| match env.msg {
-                Message::Transfer { entity, pos, .. } if env.round == round => {
-                    Some((entity, pos))
-                }
-                _ => None,
-            })
-            .collect();
-        ctx.observe_drain(drained);
-        if ctx.wait(id).is_err() {
-            return;
-        }
-        node.receive_transfers(transfers);
-        node.source_step();
-        node.finish_round();
-
-        // Seal the round: the durable snapshot a re-spawn restores from.
-        let record = PersistedRecord {
-            round,
-            point: RecordPoint::Sealed,
-            checkpoint: node.checkpoint(),
-        };
-        ctx.persist(id, &record);
-
-        if ctx.collect {
-            seat.snap_tx
-                .send(Snapshot {
-                    round,
-                    id,
-                    state: node.state().clone(),
-                    consumed: node.consumed,
-                    inserted: node.inserted,
-                })
-                .ok();
-        }
-    }
-    let (c, i) = (node.consumed, node.inserted);
-    seat.result_tx.send((id, node.into_state(), c, i)).ok();
-}
-
-/// The re-spawned incarnation of a crashed cell: waits for its reserved
-/// barrier seat to activate, restores the node from the **latest persisted
-/// snapshot** (fresh if the store has none — e.g. a tear in round 0), and
-/// resumes the ordinary drive loop. After a hard crash the latest record is
-/// the sealed frozen-failed state, and the scripted Recover at `respawn`
-/// un-fails it; after a dirty tear it is the previous round's seal — a
-/// *stale live* state the protocol must re-stabilize from.
-fn respawn_cell<'scope, 'env>(
-    scope: &crossbeam::thread::Scope<'scope, 'env>,
-    ctx: RunCtx<'scope>,
-    id: CellId,
-    seat: Seat,
-    respawn: u64,
-) {
-    if ctx
-        .barrier
-        .wait_for_generation(id, respawn * WAITS_PER_ROUND)
-        .is_err()
-    {
-        return;
-    }
-    let node = match ctx.store.latest(id).expect("snapshot store read") {
-        Some(record) => CellNode::restore(id, ctx.config, record.checkpoint, respawn),
-        None => CellNode::new(id, ctx.config),
-    };
-    drive(scope, ctx, node, seat, respawn);
-}
-
-/// The pooled worker body: drives a contiguous shard of cells through the
-/// identical round structure as [`drive`], checking every live seat into
-/// the barrier with one batched arrival per wait point.
+/// The deployment worker body: drives a contiguous shard of cells (one cell
+/// whenever the grid fits under the worker cap) through the eight-wait round,
+/// checking every live seat into the barrier with one batched arrival per
+/// wait point.
 ///
-/// Equivalence with thread-per-cell holds because the barrier still fences
-/// every send from every drain: all of a worker's slots broadcast and flush
-/// *before* the batched arrival, and no slot drains until the generation
-/// advances — which requires every other worker's sends to have flushed
-/// too. Within a worker, slots are processed in cell-id order at each step,
-/// but no step reads another slot's same-step output, so the order is
-/// unobservable.
+/// Sharding is unobservable because the barrier fences every send from
+/// every drain: all of a worker's slots broadcast and flush *before* the
+/// batched arrival, and no slot drains until the generation advances —
+/// which requires every other worker's sends to have flushed too. Within a
+/// worker, slots are processed in cell-id order at each step, but no step
+/// reads another slot's same-step output, so the order is unobservable.
 ///
-/// Lifecycle transitions mirror `drive` exactly: a hard crash seals the
-/// frozen-failed snapshot and either reserves a seat at the scripted
-/// re-spawn round (slot goes [`SlotState::Dormant`]) or leaves and reports;
-/// a tear appends a torn intent record and does the same; a kill flips the
-/// slot to [`SlotState::Gone`] *without* withdrawing its seat, so the next
-/// barrier wait times out and the stall attributes to the killed cell, just
-/// as when its dedicated thread vanished. Because the worker advances in
-/// lockstep with the barrier, its loop reaches round `respawn` exactly when
-/// the reserved seat activates — restoration needs no rendezvous unless the
-/// whole shard is dormant, in which case the worker parks on
-/// [`RoundBarrier::wait_for_generation`] like a re-spawned thread would.
+/// Lifecycle: a hard crash seals the frozen-failed snapshot and either
+/// reserves a seat at the scripted re-spawn round (slot goes
+/// [`SlotState::Dormant`]) or leaves and reports; a tear appends a torn
+/// intent record and does the same. A dormant slot's in-memory node is
+/// never read again: because the worker advances in lockstep with the
+/// barrier, its loop reaches round `respawn` exactly when the reserved seat
+/// activates, and the node is rebuilt there from the snapshot store. A kill
+/// flips the slot to [`SlotState::Gone`] *without* withdrawing its seat, so
+/// the next barrier wait times out and the stall attributes to the killed
+/// cell. A shard with no live slot parks on
+/// [`RoundBarrier::wait_for_generation`] until its earliest reserved seat.
 fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
     let mut round = 0;
     while round < ctx.rounds {
         // Wall-clock of one full worker round (all slots), waits included.
-        let _round_span = ctx.telemetry.map(|t| t.cell_round_ns.start());
+        let round_span = ctx.telemetry.map(|t| t.cell_round_ns.start());
 
         // Re-spawns due this round restore from the latest persisted
         // snapshot — the uniform recovery path.
@@ -1177,8 +884,7 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
             }
         }
 
-        // Scripted fault transitions, then the scripted dirty crash, in the
-        // same per-cell order as `drive`.
+        // Scripted fault transitions, then the scripted dirty crash.
         for slot in slots.iter_mut() {
             if !matches!(slot.state, SlotState::Active) {
                 continue;
@@ -1196,17 +902,7 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
                             checkpoint: slot.node.checkpoint(),
                         };
                         ctx.persist(slot.id, &record);
-                        match ctx.plan.respawn_round_after(slot.id, round) {
-                            Some(respawn) if respawn < ctx.rounds => {
-                                ctx.barrier.leave_and_rejoin_at(respawn * WAITS_PER_ROUND);
-                                slot.state = SlotState::Dormant { respawn };
-                            }
-                            _ => {
-                                ctx.barrier.leave();
-                                slot.report();
-                                slot.state = SlotState::Gone;
-                            }
-                        }
+                        slot.go_down(ctx, ctx.plan.respawn_round_after(slot.id, round));
                         break;
                     }
                     FaultKind::Kill => {
@@ -1234,16 +930,7 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
                 if let Some(t) = ctx.telemetry {
                     t.wal_appends.inc();
                 }
-                if tear.respawn < ctx.rounds {
-                    ctx.barrier.leave_and_rejoin_at(tear.respawn * WAITS_PER_ROUND);
-                    slot.state = SlotState::Dormant {
-                        respawn: tear.respawn,
-                    };
-                } else {
-                    ctx.barrier.leave();
-                    slot.report();
-                    slot.state = SlotState::Gone;
-                }
+                slot.go_down(ctx, Some(tear.respawn));
             }
         }
 
@@ -1267,6 +954,8 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
                 .min();
             match next {
                 Some((respawn, id)) => {
+                    // Parked time is an outage, not a round of this shard.
+                    drop(round_span);
                     if ctx
                         .barrier
                         .wait_for_generation(id, respawn * WAITS_PER_ROUND)
@@ -1282,35 +971,17 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
         }
 
         // Exchange 1: dist → Route.
-        for &k in &live {
-            let slot = &mut slots[k];
-            if let Some(dist) = slot.node.announce_dist() {
-                let id = slot.id;
-                let cause = ctx.cause(round, id);
-                slot.seat
-                    .broadcast(round, cause, || Message::DistAnnounce { from: id, dist });
-            }
-            slot.seat.flush();
-        }
+        announce(ctx, &mut slots, &live, round, |node, from| {
+            node.announce_dist()
+                .map(|dist| Message::DistAnnounce { from, dist })
+        });
         if ctx.wait_many(&seats).is_err() {
             return;
         }
-        let mut dists = Vec::with_capacity(live.len());
-        for &k in &live {
-            let mut map = HashMap::new();
-            let mut drained = 0u64;
-            for env in slots[k].seat.inbox.try_iter() {
-                drained += 1;
-                if env.round != round {
-                    continue; // a delayed straggler: footnote-1 silence
-                }
-                if let Message::DistAnnounce { from, dist } = env.msg {
-                    map.insert(from, dist);
-                }
-            }
-            ctx.observe_drain(drained);
-            dists.push(map);
-        }
+        let dists: Vec<HashMap<_, _>> = drain(ctx, &slots, &live, round, |msg| match msg {
+            Message::DistAnnounce { from, dist } => Some((from, dist)),
+            _ => None,
+        });
         if ctx.wait_many(&seats).is_err() {
             return;
         }
@@ -1319,43 +990,25 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
         }
 
         // Exchange 2: (next, nonempty) → Signal.
-        for &k in &live {
-            let slot = &mut slots[k];
-            if let Some((next, nonempty)) = slot.node.announce_route() {
-                let id = slot.id;
-                let cause = ctx.cause(round, id);
-                slot.seat.broadcast(round, cause, || Message::RouteAnnounce {
-                    from: id,
-                    next,
-                    nonempty,
-                });
-            }
-            slot.seat.flush();
-        }
-        if ctx.wait_many(&seats).is_err() {
-            return;
-        }
-        let mut routes = Vec::with_capacity(live.len());
-        for &k in &live {
-            let mut map = HashMap::new();
-            let mut drained = 0u64;
-            for env in slots[k].seat.inbox.try_iter() {
-                drained += 1;
-                if env.round != round {
-                    continue;
-                }
-                if let Message::RouteAnnounce {
+        announce(ctx, &mut slots, &live, round, |node, from| {
+            node.announce_route()
+                .map(|(next, nonempty)| Message::RouteAnnounce {
                     from,
                     next,
                     nonempty,
-                } = env.msg
-                {
-                    map.insert(from, (next, nonempty));
-                }
-            }
-            ctx.observe_drain(drained);
-            routes.push(map);
+                })
+        });
+        if ctx.wait_many(&seats).is_err() {
+            return;
         }
+        let routes: Vec<HashMap<_, _>> = drain(ctx, &slots, &live, round, |msg| match msg {
+            Message::RouteAnnounce {
+                from,
+                next,
+                nonempty,
+            } => Some((from, (next, nonempty))),
+            _ => None,
+        });
         if ctx.wait_many(&seats).is_err() {
             return;
         }
@@ -1364,35 +1017,17 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
         }
 
         // Exchange 3: signal → Move.
-        for &k in &live {
-            let slot = &mut slots[k];
-            if let Some(signal) = slot.node.announce_signal() {
-                let id = slot.id;
-                let cause = ctx.cause(round, id);
-                slot.seat
-                    .broadcast(round, cause, || Message::SignalAnnounce { from: id, signal });
-            }
-            slot.seat.flush();
-        }
+        announce(ctx, &mut slots, &live, round, |node, from| {
+            node.announce_signal()
+                .map(|signal| Message::SignalAnnounce { from, signal })
+        });
         if ctx.wait_many(&seats).is_err() {
             return;
         }
-        let mut signals = Vec::with_capacity(live.len());
-        for &k in &live {
-            let mut map = HashMap::new();
-            let mut drained = 0u64;
-            for env in slots[k].seat.inbox.try_iter() {
-                drained += 1;
-                if env.round != round {
-                    continue;
-                }
-                if let Message::SignalAnnounce { from, signal } = env.msg {
-                    map.insert(from, signal);
-                }
-            }
-            ctx.observe_drain(drained);
-            signals.push(map);
-        }
+        let signals: Vec<HashMap<_, _>> = drain(ctx, &slots, &live, round, |msg| match msg {
+            Message::SignalAnnounce { from, signal } => Some((from, signal)),
+            _ => None,
+        });
         if ctx.wait_many(&seats).is_err() {
             return;
         }
@@ -1435,24 +1070,10 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
         if ctx.wait_many(&seats).is_err() {
             return;
         }
-        let mut transfers = Vec::with_capacity(live.len());
-        for &k in &live {
-            let mut drained = 0u64;
-            let batch: Vec<_> = slots[k]
-                .seat
-                .inbox
-                .try_iter()
-                .inspect(|_| drained += 1)
-                .filter_map(|env| match env.msg {
-                    Message::Transfer { entity, pos, .. } if env.round == round => {
-                        Some((entity, pos))
-                    }
-                    _ => None,
-                })
-                .collect();
-            ctx.observe_drain(drained);
-            transfers.push(batch);
-        }
+        let mut transfers: Vec<Vec<_>> = drain(ctx, &slots, &live, round, |msg| match msg {
+            Message::Transfer { entity, pos, .. } => Some((entity, pos)),
+            _ => None,
+        });
         if ctx.wait_many(&seats).is_err() {
             return;
         }
@@ -1487,6 +1108,56 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
             slot.report();
         }
     }
+}
+
+/// Broadcasts each live slot's announcement for one exchange (`make` yields
+/// none when the node stays silent, e.g. while failed) and flushes every
+/// live slot's links.
+fn announce(
+    ctx: RunCtx<'_>,
+    slots: &mut [ShardSlot],
+    live: &[usize],
+    round: u64,
+    make: impl Fn(&CellNode, CellId) -> Option<Message>,
+) {
+    for &k in live {
+        let slot = &mut slots[k];
+        if let Some(msg) = make(&slot.node, slot.id) {
+            let cause = ctx.cause(round, slot.id);
+            slot.seat.broadcast(round, cause, || msg.clone());
+        }
+        slot.seat.flush();
+    }
+}
+
+/// Drains each live slot's inbox after an exchange, one collection per
+/// slot. An envelope stamped with another round is a delayed straggler and
+/// reads as footnote-1 silence; `pick` keeps the current round's messages
+/// of the exchange's kind.
+fn drain<T, C: FromIterator<T>>(
+    ctx: RunCtx<'_>,
+    slots: &[ShardSlot],
+    live: &[usize],
+    round: u64,
+    pick: impl Fn(Message) -> Option<T>,
+) -> Vec<C> {
+    live.iter()
+        .map(|&k| {
+            let mut drained = 0u64;
+            let batch = slots[k]
+                .seat
+                .inbox
+                .try_iter()
+                .inspect(|_| drained += 1)
+                .filter(|env| env.round == round)
+                .filter_map(|env| pick(env.msg))
+                .collect();
+            if let Some(t) = ctx.telemetry {
+                t.inbox_batch.observe(drained);
+            }
+            batch
+        })
+        .collect()
 }
 
 /// The monitor collector: reassembles each round's global state from node
@@ -2291,11 +1962,12 @@ mod tests {
     }
 
     #[test]
-    fn pooled_workers_match_thread_per_cell() {
+    fn every_worker_cap_gives_the_same_report() {
         // The same faulty campaign — crash/recover, hard crash with
-        // re-spawn, corruption, and a dirty tear — through both deployment
-        // shapes: 16 dedicated threads vs. 3 pooled workers driving shards
-        // of 6/6/4 cells. Reports must be identical, monitors included.
+        // re-spawn, corruption, and a dirty tear — through three shard
+        // shapes: one worker driving all 16 cells, 3 workers driving shards
+        // of 6/6/4 cells, and one worker per cell. Reports must be
+        // identical, monitors included.
         let run = |cap: usize| {
             let cfg = config(4);
             let monitors = cellflow_core::standard_monitors(&cfg);
@@ -2321,18 +1993,18 @@ mod tests {
                 .run_monitored(150, monitors)
                 .unwrap()
         };
-        let threaded = run(16);
-        let pooled = run(3);
-        assert_eq!(pooled, threaded);
-        assert!(threaded.consumed > 0, "the campaign kept flowing");
-        assert!(threaded.violations.is_empty(), "{:?}", threaded.violations);
+        let per_cell = run(16);
+        assert_eq!(run(3), per_cell);
+        assert_eq!(run(1), per_cell);
+        assert!(per_cell.consumed > 0, "the campaign kept flowing");
+        assert!(per_cell.violations.is_empty(), "{:?}", per_cell.violations);
     }
 
     #[test]
     fn pooled_kill_still_attributes_the_silent_cell() {
         // A killed cell's slot stops arriving but its barrier seat is never
-        // withdrawn — the pooled worker must preserve exactly the
-        // thread-per-cell stall so the timeout still names the victim.
+        // withdrawn — a worker that drives other live cells must still
+        // stall the round so the timeout names the victim.
         let victim = CellId::new(2, 2);
         let err = NetSystem::new(config(4))
             .unwrap()
@@ -2355,8 +2027,8 @@ mod tests {
         use cellflow_core::System;
 
         // 32×32 = 1024 cells: far past the default cap of 64, so the run
-        // multiplexes 16-cell shards onto pooled workers instead of
-        // spawning a thousand OS threads — the cliff the cap removes.
+        // multiplexes 16-cell shards onto 64 workers instead of spawning a
+        // thousand OS threads — the cliff the cap removes.
         let cfg = config(32);
         let report = NetSystem::new(cfg.clone()).unwrap().run(48).unwrap();
         let mut sys = System::new(cfg);

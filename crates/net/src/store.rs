@@ -80,7 +80,7 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// A scripted *dirty* crash for the deployment runtime: `cell`'s thread is
+/// A scripted *dirty* crash for the deployment runtime: `cell`'s node is
 /// torn down in the middle of round `round` — after appending (only) its
 /// `Intent` record and **without** sending its transfers or sealing the
 /// round — and re-spawned at round `respawn` from whatever
@@ -97,9 +97,9 @@ pub struct TearSpec {
 
 /// Durable (or durable-enough-for-tests) per-cell snapshot storage.
 ///
-/// `Send + Sync`: node threads append concurrently, each to its own cell's
-/// stream; a re-spawned thread reads its predecessor's stream after the
-/// predecessor is gone.
+/// `Send + Sync`: deployment workers append concurrently, each to its own
+/// cells' streams; a re-spawned node reads its predecessor's stream after
+/// the predecessor is gone.
 pub trait SnapshotStore: Send + Sync {
     /// Appends `record` to `cell`'s stream.
     fn append(&self, cell: CellId, record: &PersistedRecord) -> Result<(), StoreError>;

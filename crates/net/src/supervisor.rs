@@ -19,7 +19,7 @@
 //!
 //! Everything is a *plan rewrite* performed before the run starts:
 //! [`RestartPolicy::rewrite`] maps the scripted plan to an **effective
-//! plan**, which both the node threads and the monitor collector then
+//! plan**, which both the deployment workers and the monitor collector then
 //! consume. That keeps supervision fully deterministic — same plan, same
 //! policy, same effective schedule — which the byte-identical certificate
 //! reports of `cellflow stabilize` rely on.

@@ -8,11 +8,11 @@
 //!   round timeout *poisons* the barrier; every other participant's wait
 //!   returns the poison instead of blocking, and the runtime surfaces it as
 //!   a typed [`NetError::Timeout`](crate::NetError::Timeout);
-//! * **leaving** — a hard-crashed cell's thread can withdraw its membership
-//!   so the survivors' barrier completes without it (the paper's "a failed
-//!   cell … never communicates", without pretending the thread still runs);
+//! * **leaving** — a hard-crashed cell can withdraw its seat so the
+//!   survivors' barrier completes without it (the paper's "a failed cell …
+//!   never communicates", without pretending the cell still runs);
 //! * **scheduled re-joining** — a recovery re-spawn can reserve a seat at a
-//!   future generation, so the successor thread is counted from exactly the
+//!   future generation, so the restored cell is counted from exactly the
 //!   round it resumes at, with no window in which the barrier under- or
 //!   over-counts.
 //!
@@ -59,7 +59,7 @@ struct Inner {
     /// Who has checked into the current generation — the attribution a
     /// timeout report needs to name the silent cells.
     arrived_cells: Vec<CellId>,
-    /// Seats reserved for re-spawned threads, keyed by the generation at
+    /// Seats reserved for re-spawned cells, keyed by the generation at
     /// which they start counting.
     joins: BTreeMap<u64, usize>,
     /// When enabled (tracing), `(generation, last cell to arrive)` for
@@ -174,49 +174,15 @@ impl RoundBarrier {
     /// The [`PoisonInfo`] if this wait timed out (this caller becomes the
     /// detector) or another participant already poisoned the barrier.
     pub fn wait(&self, cell: CellId) -> Result<(), PoisonInfo> {
-        let mut inner = lock!(self.inner);
-        if let Some(p) = &inner.poison {
-            return Err(p.clone());
-        }
-        let gen = inner.generation;
-        inner.arrived += 1;
-        inner.arrived_cells.push(cell);
-        if inner.arrived == inner.participants {
-            inner.advance();
-            self.cv.notify_all();
-            return Ok(());
-        }
-        loop {
-            let (guard, result) = self
-                .cv
-                .wait_timeout(inner, self.timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-            if let Some(p) = &inner.poison {
-                return Err(p.clone());
-            }
-            if inner.generation != gen {
-                return Ok(());
-            }
-            if result.timed_out() {
-                let p = PoisonInfo {
-                    generation: gen,
-                    cell,
-                    arrived: inner.arrived_cells.clone(),
-                };
-                inner.poison = Some(p.clone());
-                self.cv.notify_all();
-                return Err(p);
-            }
-        }
+        self.arrive_many(std::slice::from_ref(&cell))
     }
 
-    /// Checks `cells.len()` seats into the current generation at once — the
-    /// pooled runtime's one-call-per-shard arrival. Behaviorally equivalent
-    /// to `cells.len()` sequential [`RoundBarrier::wait`] calls by the same
-    /// thread (every cell lands in the attribution list), minus the wakeup
-    /// churn. An empty slice returns immediately without touching the
-    /// barrier.
+    /// Checks `cells.len()` seats into the current generation at once — a
+    /// deployment worker's one-call-per-shard arrival. Behaviorally
+    /// equivalent to `cells.len()` sequential [`RoundBarrier::wait`] calls
+    /// by the same thread (every cell lands in the attribution list), minus
+    /// the wakeup churn. An empty slice returns immediately without
+    /// touching the barrier.
     ///
     /// # Errors
     ///
@@ -281,7 +247,7 @@ impl RoundBarrier {
     /// Withdraws one seat now and reserves it again from `generation` on
     /// (a hard crash whose recovery is scheduled). The reserved seat is
     /// counted from the moment the barrier *advances to* `generation`, so
-    /// the re-spawned thread must be waiting by then — see
+    /// the re-spawned cell's worker must be waiting by then — see
     /// [`RoundBarrier::wait_for_generation`].
     ///
     /// # Panics
@@ -303,7 +269,7 @@ impl RoundBarrier {
     }
 
     /// Blocks until the barrier has advanced to (at least) `generation` —
-    /// the rendezvous for a re-spawned thread whose seat was reserved with
+    /// the rendezvous for a re-spawned cell whose seat was reserved with
     /// [`RoundBarrier::leave_and_rejoin_at`].
     ///
     /// The wait is bounded by a generous multiple of the per-wait timeout:

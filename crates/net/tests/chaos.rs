@@ -1,5 +1,5 @@
-//! Chaos-engineering integration tests: seeded message faults, hard thread
-//! crashes with re-spawn, unrecoverable kills with timeout degradation, and
+//! Chaos-engineering integration tests: seeded message faults, hard
+//! crashes with re-spawn from the snapshot store, unrecoverable kills with timeout degradation, and
 //! online monitors over the message-passing runtime.
 
 use std::time::Duration;
@@ -29,7 +29,7 @@ fn reference_run(config: &SystemConfig, rounds: u64, plan: &FaultPlan) -> (Syste
                 FaultKind::Recover => sys.recover(event.cell),
                 // Crash, HardCrash, and Kill all read as `fail` in the
                 // shared-variable model — the differences are mechanical
-                // (thread death, barrier membership), not behavioral.
+                // (node restore, barrier membership), not behavioral.
                 _ => sys.fail(event.cell),
             }
         }
@@ -92,9 +92,10 @@ fn dup_and_reorder_are_observationally_invisible() {
     assert_eq!(net.inserted, ref_inserted);
 }
 
-/// A hard crash actually kills the cell's thread; the scripted recovery
-/// re-spawns a successor from the checkpoint. On a lossless fabric the whole
-/// run stays bit-identical to the reference under plain fail/recover.
+/// A hard crash drops the cell's in-memory node; the scripted recovery
+/// restores it from the snapshot store at the respawn round. On a lossless
+/// fabric the whole run stays bit-identical to the reference under plain
+/// fail/recover.
 #[test]
 fn hard_crash_respawn_matches_reference() {
     let plan = FaultPlan::new()
@@ -114,7 +115,7 @@ fn hard_crash_respawn_matches_reference() {
     assert_eq!(net.inserted, ref_inserted);
 }
 
-/// A hard crash with no scripted recovery: the thread dies for good, the
+/// A hard crash with no scripted recovery: the cell is gone for good, its
 /// barrier seat is withdrawn, and the survivors finish the run normally.
 #[test]
 fn permanent_hard_crash_still_terminates() {

@@ -134,8 +134,9 @@ fn multi_source_equivalent_modulo_ids() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Randomized equivalence: random grids, parameters, and failure
-    /// schedules produce bit-identical single-source behavior.
+    /// Randomized equivalence: random grids, parameters, failure schedules,
+    /// and worker caps (one worker, uneven shards, one cell per worker)
+    /// produce bit-identical single-source behavior.
     #[test]
     fn equivalence_under_random_schedules(
         n in 3u16..=6,
@@ -145,6 +146,7 @@ proptest! {
             (0u64..80, (0u16..6, 0u16..6), prop::bool::ANY),
             0..6,
         ),
+        cap in 1usize..=40,
     ) {
         let params = Params::from_milli(l, 50, l / 2 + 10).expect("valid");
         let cfg = SystemConfig::new(GridDims::square(n), CellId::new(1, n - 1), params)
@@ -156,6 +158,7 @@ proptest! {
             .collect();
         let net = NetSystem::new(cfg.clone()).unwrap()
             .with_schedule(schedule.clone())
+            .with_worker_cap(cap)
             .run(rounds)
             .unwrap();
         let (ref_state, ref_consumed, ref_inserted) = reference_run(&cfg, rounds, &schedule);
