@@ -36,11 +36,15 @@
 //! updates, occupancy flips, sticky signal registers, link-cut diffs,
 //! fault/corruption point writes via [`Engine::load_cell`]) shrinks each
 //! phase's sweep to the cells whose inputs changed, so a quiescent region
-//! costs O(active), not O(N). When an active list is long enough the phase
-//! fans out to worker threads over contiguous bands of the sorted list
-//! ([`Engine::set_workers`]) with results applied in band order — bit- and
-//! event-identical to the sequential sweep. The dense mode remains available
-//! as the reference and benchmark baseline.
+//! costs O(active), not O(N). Every scheduler set is a two-level bitmap
+//! (one bit per cell, one summary bit per nonzero 64-cell word) whose scan
+//! yields the phase's work list already in ascending row-major order in
+//! O(len + N/4096) — the dense sweep's order, with no sort. When an active
+//! list is long enough the phase fans out to worker threads over
+//! contiguous bands of the sorted list ([`Engine::set_workers`]) with
+//! results applied in band order — bit- and event-identical to the
+//! sequential sweep. The dense mode remains available as the reference and
+//! benchmark baseline.
 //!
 //! Equivalence with the pure phases — identical successor state *and*
 //! identical [`RoundEvents`], per round, under crashes, recoveries and
@@ -198,50 +202,121 @@ pub enum ExecMode {
     Sparse,
 }
 
-/// An epoch-stamped cell set: membership is `stamp[k] == epoch`, so clearing
-/// is one integer bump (no O(N) wipe) and the member list is reused round
-/// over round without reallocating — the "cheap membership bitmap" the
-/// sparse scheduler builds its dirty tracking on.
+/// A cell set kept as a two-level bitmap: `bits` holds one bit per cell and
+/// `summary` one bit per nonzero `bits` word. Insertion is two ORs; clearing
+/// and the ascending scan visit only the summary and the words it selects,
+/// so both cost O(len + cells/4096) and the work lists come out sorted
+/// without a sort.
 #[derive(Clone, Debug)]
 struct MarkSet {
-    stamp: Vec<u64>,
-    epoch: u64,
+    cells: usize,
+    bits: Vec<u64>,
+    summary: Vec<u64>,
+    /// The members in ascending order, as of the last [`MarkSet::scan`].
     list: Vec<u32>,
 }
 
 impl MarkSet {
     fn with_cells(n: usize) -> MarkSet {
+        let words = n.div_ceil(64);
         MarkSet {
-            stamp: vec![0; n],
-            // Stamps start below the live epoch so nothing is spuriously
-            // "already present" before the first insert.
-            epoch: 1,
+            cells: n,
+            bits: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
             list: Vec::new(),
         }
     }
 
-    /// Empties the set by advancing the epoch; list capacity is retained.
+    /// Empties the set, zeroing only the words the summary selects; list
+    /// capacity is retained.
     fn begin(&mut self) {
-        self.epoch += 1;
+        for (si, s) in self.summary.iter_mut().enumerate() {
+            let mut sel = std::mem::take(s);
+            while sel != 0 {
+                self.bits[si * 64 + sel.trailing_zeros() as usize] = 0;
+                sel &= sel - 1;
+            }
+        }
         self.list.clear();
     }
 
-    fn insert(&mut self, k: u32, allocs: &mut u64) {
-        if self.stamp[k as usize] != self.epoch {
-            self.stamp[k as usize] = self.epoch;
-            push_tracked(&mut self.list, k, allocs);
-        }
+    fn insert(&mut self, k: u32) {
+        let w = k as usize / 64;
+        self.bits[w] |= 1 << (k % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
     }
 
     /// Inserts every cell — the conservative reset after anything that may
     /// have rewritten arbitrary registers (`load_state`, a mode switch).
-    fn fill_all(&mut self, allocs: &mut u64) {
-        self.begin();
-        for k in 0..self.stamp.len() {
-            self.stamp[k] = self.epoch;
-            push_tracked(&mut self.list, k as u32, allocs);
+    fn fill_all(&mut self) {
+        self.bits.fill(!0);
+        self.summary.fill(!0);
+        if let Some(last) = self.bits.last_mut() {
+            *last >>= (64 - self.cells % 64) % 64;
+        }
+        if let Some(last) = self.summary.last_mut() {
+            *last >>= (64 - self.bits.len() % 64) % 64;
         }
     }
+
+    /// Visits the members in ascending order and drops each one `keep`
+    /// rejects.
+    fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
+        for (si, s) in self.summary.iter_mut().enumerate() {
+            let mut sel = *s;
+            while sel != 0 {
+                let wi = si * 64 + sel.trailing_zeros() as usize;
+                sel &= sel - 1;
+                let mut w = self.bits[wi];
+                let mut kept = w;
+                while w != 0 {
+                    let b = w.trailing_zeros();
+                    w &= w - 1;
+                    if !keep(wi as u32 * 64 + b) {
+                        kept &= !(1 << b);
+                    }
+                }
+                self.bits[wi] = kept;
+                if kept == 0 {
+                    *s &= !(1 << (wi % 64));
+                }
+            }
+        }
+    }
+
+    /// Rebuilds `list` from the members `keep` accepts (dropping the rest),
+    /// in ascending order.
+    fn scan_retain(&mut self, mut keep: impl FnMut(u32) -> bool, allocs: &mut u64) {
+        let mut list = std::mem::take(&mut self.list);
+        list.clear();
+        self.retain(|k| {
+            let kept = keep(k);
+            if kept {
+                push_tracked(&mut list, k, allocs);
+            }
+            kept
+        });
+        self.list = list;
+    }
+
+    /// Rebuilds `list` as every member in ascending order.
+    fn scan(&mut self, allocs: &mut u64) {
+        self.scan_retain(|_| true, allocs);
+    }
+}
+
+/// `|a ∪ b ∪ c|`, reading only the words the summaries select.
+fn union_len(a: &MarkSet, b: &MarkSet, c: &MarkSet) -> usize {
+    let mut len = 0;
+    for si in 0..a.summary.len() {
+        let mut sel = a.summary[si] | b.summary[si] | c.summary[si];
+        while sel != 0 {
+            let wi = si * 64 + sel.trailing_zeros() as usize;
+            sel &= sel - 1;
+            len += (a.bits[wi] | b.bits[wi] | c.bits[wi]).count_ones() as usize;
+        }
+    }
+    len
 }
 
 /// The cells a slice consumer must visit: an explicit changed slice, or
@@ -358,7 +433,7 @@ impl ShardScratch {
 /// * **Move** — only nonempty cells move, so the sweep list is exactly the
 ///   incrementally-maintained occupancy set.
 /// * **Pressure** — the leaky integrator is zero and stays zero outside
-///   `pressure_list` (cells with nonzero pressure or members).
+///   `pressured` (cells with nonzero pressure or members).
 ///
 /// A skipped cell reads exactly like footnote 1's silent-but-correct
 /// neighbor: its `dist`/`next`/`signal` announcements are whatever it last
@@ -375,19 +450,13 @@ struct Sched {
     /// `Signal` marks accumulating for the next round (sticky cells,
     /// occupancy flips, cut diffs).
     sig_next: MarkSet,
-    /// `occupied[k]` ⇔ `members[k]` is nonempty, maintained incrementally.
-    occupied: Vec<bool>,
-    /// Unsorted list of occupied cells (compacted once per round).
-    occupied_list: Vec<u32>,
-    /// Sorted copy of `occupied_list` the `Move` sweep iterates.
-    move_list: Vec<u32>,
-    /// `pressure_flag[k]` ⇔ `k` is in `pressure_list`.
-    pressure_flag: Vec<bool>,
+    /// Every nonempty cell (plus cells that drained since `Move` last
+    /// scanned it, which that scan drops): after the scan, `occupied.list`
+    /// is the `Move` work list.
+    occupied: MarkSet,
     /// Cells with nonzero pressure or members — everywhere else the
     /// integrator is 0 and `⌊0/2⌋ + 0 = 0`, so skipping is exact.
-    pressure_list: Vec<u32>,
-    /// Distinct-cell scratch for the occupancy gauge.
-    touch: MarkSet,
+    pressured: MarkSet,
     /// Distinct cells any phase ran on in the most recent round.
     last_active: usize,
     /// Run the next round on full sets (construction, `load_state`, mode
@@ -402,12 +471,8 @@ impl Sched {
             route_next: MarkSet::with_cells(n),
             sig_now: MarkSet::with_cells(n),
             sig_next: MarkSet::with_cells(n),
-            occupied: vec![false; n],
-            occupied_list: Vec::new(),
-            move_list: Vec::new(),
-            pressure_flag: vec![false; n],
-            pressure_list: Vec::new(),
-            touch: MarkSet::with_cells(n),
+            occupied: MarkSet::with_cells(n),
+            pressured: MarkSet::with_cells(n),
             last_active: n,
             mark_all: true,
         }
@@ -974,10 +1039,8 @@ impl Engine {
             for (k, (&new, old)) in masks.iter().zip(self.link_cuts.iter_mut()).enumerate() {
                 if *old != new {
                     *old = new;
-                    self.sched
-                        .route_next
-                        .insert(k as u32, &mut self.alloc_events);
-                    self.sched.sig_next.insert(k as u32, &mut self.alloc_events);
+                    self.sched.route_next.insert(k as u32);
+                    self.sched.sig_next.insert(k as u32);
                 }
             }
         }
@@ -986,8 +1049,8 @@ impl Engine {
     /// A cell's incoming-cut mask changed: its `Route` argmin and `Signal`
     /// requester mask read different inputs next round.
     fn mark_cut_changed(&mut self, k: u32) {
-        self.sched.route_next.insert(k, &mut self.alloc_events);
-        self.sched.sig_next.insert(k, &mut self.alloc_events);
+        self.sched.route_next.insert(k);
+        self.sched.sig_next.insert(k);
     }
 
     /// Restores the no-link-faults default (all edges readable).
@@ -1031,7 +1094,7 @@ impl Engine {
     /// write behind fault injection (crash, recovery, corruption). The cell
     /// and its four neighbors are marked dirty for `Route` and `Signal`
     /// (their inputs read this cell's `dist`, `next`, `failed` and
-    /// occupancy), the occupancy and pressure lists learn about new
+    /// occupancy), the occupancy and pressure sets learn about new
     /// members, and the cell joins the next step's changed slice.
     ///
     /// # Panics
@@ -1047,20 +1110,19 @@ impl Engine {
             topo,
             changed,
             members,
-            alloc_events,
             ..
         } = self;
-        changed.insert(ku, alloc_events);
-        sched.route_next.insert(ku, alloc_events);
-        sched.sig_next.insert(ku, alloc_events);
+        changed.insert(ku);
+        sched.route_next.insert(ku);
+        sched.sig_next.insert(ku);
         for &ni in &topo.nbr_idx[k] {
             if ni != NO_NBR {
-                sched.route_next.insert(ni, alloc_events);
-                sched.sig_next.insert(ni, alloc_events);
+                sched.route_next.insert(ni);
+                sched.sig_next.insert(ni);
             }
         }
         if !members[k].is_empty() {
-            note_occupied(sched, topo, ku, alloc_events);
+            note_occupied(sched, topo, ku);
         }
     }
 
@@ -1146,7 +1208,7 @@ impl Engine {
                 changed = true;
             }
         } else {
-            let (cands, cn) = self.mask_candidates(k, c.ne_mask);
+            let (cands, cn) = candidates_of(&self.topo, k, c.ne_mask);
             let unchanged = cs.ne_prev.len() == cn
                 && cs.ne_prev.iter().zip(cands[..cn].iter()).all(|(a, b)| a == b);
             if !unchanged {
@@ -1178,17 +1240,13 @@ impl Engine {
     /// indices of every cell a phase, source insertion or
     /// [`Engine::load_cell`] actually wrote. `None` means "every cell" — a
     /// dense round, the first round, or a round after
-    /// [`Engine::load_state`]. Read it right after a step; between steps it
-    /// lists (unsorted) the cells loaded so far.
+    /// [`Engine::load_state`]. Read it right after a step: after a point
+    /// write it is `None` until the next step publishes the slice.
     ///
     /// Mirrors, monitors and recorders refresh exactly these cells to stay
     /// O(changed cells) per round.
     pub fn changed_cells(&self) -> Option<&[u32]> {
-        if self.changed_all {
-            None
-        } else {
-            Some(&self.changed.list)
-        }
+        (self.changed_sealed && !self.changed_all).then_some(self.changed.list.as_slice())
     }
 
     /// Starts a fresh changed set on the first write after a step returned.
@@ -1230,7 +1288,7 @@ impl Engine {
         if self.mode == ExecMode::Dense {
             self.changed_all = true;
         } else if !self.changed_all {
-            self.changed.list.sort_unstable();
+            self.changed.scan(&mut self.alloc_events);
         }
         self.changed_sealed = true;
         self.round += 1;
@@ -1338,7 +1396,7 @@ impl Engine {
             // saw, so they match what actually ran.
             let route_len = self.sched.route_now.list.len();
             let sig_len = self.sched.sig_now.list.len();
-            let move_len = self.sched.move_list.len();
+            let move_len = self.sched.occupied.list.len();
             self.round_trace.route_cells = route_len as u64;
             self.round_trace.signal_cells = sig_len as u64;
             self.round_trace.move_cells = move_len as u64;
@@ -1347,40 +1405,34 @@ impl Engine {
             self.round_trace.move_bands = self.band_count(move_len) as u32;
         }
         self.update_pressure_sparse();
-        self.note_round_activity();
     }
 
     /// Rotates the dirty sets: marks accumulated since the last round become
     /// this round's work. After anything that rewrote arbitrary state
     /// (`load_state`, a mode switch) the sets are refilled wholesale and the
-    /// occupancy/pressure lists rebuilt from the arenas.
+    /// occupancy/pressure sets rebuilt from the arenas.
     fn begin_round_sparse(&mut self) {
         let Engine {
             sched,
             members,
             pressure,
-            alloc_events,
             ..
         } = self;
         if sched.mark_all {
             sched.mark_all = false;
-            sched.route_now.fill_all(alloc_events);
-            sched.sig_now.fill_all(alloc_events);
+            sched.route_now.fill_all();
+            sched.sig_now.fill_all();
             // Pending marks are subsumed by the full sweep.
             sched.route_next.begin();
             sched.sig_next.begin();
-            sched.occupied.iter_mut().for_each(|f| *f = false);
-            sched.occupied_list.clear();
-            sched.pressure_flag.iter_mut().for_each(|f| *f = false);
-            sched.pressure_list.clear();
+            sched.occupied.begin();
+            sched.pressured.begin();
             for (k, m) in members.iter().enumerate() {
                 if !m.is_empty() {
-                    sched.occupied[k] = true;
-                    push_tracked(&mut sched.occupied_list, k as u32, alloc_events);
+                    sched.occupied.insert(k as u32);
                 }
                 if pressure[k] > 0 || !m.is_empty() {
-                    sched.pressure_flag[k] = true;
-                    push_tracked(&mut sched.pressure_list, k as u32, alloc_events);
+                    sched.pressured.insert(k as u32);
                 }
             }
         } else {
@@ -1406,6 +1458,7 @@ impl Engine {
     /// sequentially in band order, which equals ascending cell order.
     fn route_sparse(&mut self) {
         let cap = self.config.dist_cap();
+        self.sched.route_now.scan(&mut self.alloc_events);
         let nbands = self.band_count(self.sched.route_now.list.len());
         {
             let Engine {
@@ -1417,7 +1470,6 @@ impl Engine {
                 sched_metrics,
                 ..
             } = self;
-            sched.route_now.list.sort_unstable();
             let list: &[u32] = &sched.route_now.list;
             if list.is_empty() {
                 return;
@@ -1466,7 +1518,7 @@ impl Engine {
             band.allocs = 0;
             for &(k, dist, next) in &band.upd {
                 let ku = k as usize;
-                changed.insert(k, alloc_events);
+                changed.insert(k);
                 let c = &mut front[ku];
                 let dist_changed = c.dist != dist;
                 let next_changed = c.next != next;
@@ -1476,14 +1528,14 @@ impl Engine {
                 if dist_changed {
                     for &ni in nbrs {
                         if ni != NO_NBR {
-                            sched.route_next.insert(ni, alloc_events);
+                            sched.route_next.insert(ni);
                         }
                     }
                 }
                 if next_changed {
                     for &ni in nbrs {
                         if ni != NO_NBR {
-                            sched.sig_now.insert(ni, alloc_events);
+                            sched.sig_now.insert(ni);
                         }
                     }
                 }
@@ -1501,6 +1553,7 @@ impl Engine {
         let params = self.config.params();
         let policy = self.config.token_policy();
         let round = self.round;
+        self.sched.sig_now.scan(&mut self.alloc_events);
         let nbands = self.band_count(self.sched.sig_now.list.len());
         {
             let Engine {
@@ -1513,7 +1566,6 @@ impl Engine {
                 sched_metrics,
                 ..
             } = self;
-            sched.sig_now.list.sort_unstable();
             let list: &[u32] = &sched.sig_now.list;
             if list.is_empty() {
                 return;
@@ -1589,45 +1641,26 @@ impl Engine {
                     wrote |= ne_override.len() != before;
                 }
                 if wrote {
-                    changed.insert(k, alloc_events);
+                    changed.insert(k);
                 }
                 if out.mask != 0 || out.token.is_some() || out.signal.is_some() {
-                    sched.sig_next.insert(k, alloc_events);
+                    sched.sig_next.insert(k);
                 }
             }
             band.out.clear();
         }
     }
 
-    /// Sparse `Move`: compacts the occupancy list, sweeps exactly the
-    /// nonempty cells in ascending order (banded over disjoint member
-    /// sub-slices when sharded), then marks drained cells' neighbors and
-    /// applies deferred arrivals with occupancy tracking.
+    /// Sparse `Move`: scans the occupancy set (dropping drained cells),
+    /// sweeps exactly the nonempty cells in ascending order (banded over
+    /// disjoint member sub-slices when sharded), then marks drained cells'
+    /// neighbors and applies deferred arrivals with occupancy tracking.
     fn move_sparse(&mut self) {
-        {
-            let Engine {
-                sched,
-                members,
-                alloc_events,
-                ..
-            } = self;
-            let occupied = &mut sched.occupied;
-            sched.occupied_list.retain(|&k| {
-                if members[k as usize].is_empty() {
-                    occupied[k as usize] = false;
-                    false
-                } else {
-                    true
-                }
-            });
-            sched.move_list.clear();
-            for i in 0..sched.occupied_list.len() {
-                let k = sched.occupied_list[i];
-                push_tracked(&mut sched.move_list, k, alloc_events);
-            }
-            sched.move_list.sort_unstable();
-        }
-        let nbands = self.band_count(self.sched.move_list.len());
+        let members = &self.members;
+        self.sched
+            .occupied
+            .scan_retain(|k| !members[k as usize].is_empty(), &mut self.alloc_events);
+        let nbands = self.band_count(self.sched.occupied.list.len());
         {
             let Engine {
                 config,
@@ -1644,7 +1677,7 @@ impl Engine {
                 changed,
                 ..
             } = self;
-            let list: &[u32] = &sched.move_list;
+            let list: &[u32] = &sched.occupied.list;
             if !list.is_empty() {
                 let topo: &NeighborTable = topo;
                 let front: &[CellCore] = front;
@@ -1726,7 +1759,7 @@ impl Engine {
                 // Every cell that moved rewrote its members.
                 let dims = config.dims();
                 for &id in &events.moved {
-                    changed.insert(dims.index(id) as u32, alloc_events);
+                    changed.insert(dims.index(id) as u32);
                 }
                 // Cells that drained stop being requesters: their neighbors'
                 // masks change next round.
@@ -1734,20 +1767,23 @@ impl Engine {
                     if members[k as usize].is_empty() {
                         for &ni in &topo.nbr_idx[k as usize] {
                             if ni != NO_NBR {
-                                sched.sig_next.insert(ni, alloc_events);
+                                sched.sig_next.insert(ni);
                             }
                         }
                     }
                 }
             }
         }
+        // Arrivals grow `occupied`: count activity while each phase set
+        // still holds exactly the cells its phase swept.
+        self.note_round_activity();
         self.apply_incoming(true);
     }
 
     /// Applies deferred cross-cell arrivals in emission order. With `track`
     /// (sparse rounds), receiving cells join the changed set, and cells
     /// gaining their first occupant are folded into the occupancy and
-    /// pressure lists and their neighbors marked for `Signal`.
+    /// pressure sets and their neighbors marked for `Signal`.
     fn apply_incoming(&mut self, track: bool) {
         let mut incoming = std::mem::take(&mut self.incoming);
         for &(to, eid, pos) in &incoming {
@@ -1755,9 +1791,9 @@ impl Engine {
             let was_empty = self.members[tu].is_empty();
             insert_member(&mut self.members[tu], eid, pos, &mut self.alloc_events);
             if track {
-                self.changed.insert(to, &mut self.alloc_events);
+                self.changed.insert(to);
                 if was_empty {
-                    note_occupied(&mut self.sched, &self.topo, to, &mut self.alloc_events);
+                    note_occupied(&mut self.sched, &self.topo, to);
                 }
             }
         }
@@ -1766,27 +1802,15 @@ impl Engine {
     }
 
     /// Sparse pressure update: the leaky integrator is identically zero off
-    /// the list (`⌊0/2⌋ + 0 = 0`), so only listed cells are touched; a cell
-    /// leaves the list once it decays to zero while empty.
+    /// the set (`⌊0/2⌋ + 0 = 0`), so only its cells are touched; a cell
+    /// leaves the set once it decays to zero while empty.
     fn update_pressure_sparse(&mut self) {
-        let Engine {
-            sched,
-            pressure,
-            members,
-            ..
-        } = self;
-        let mut i = 0;
-        while i < sched.pressure_list.len() {
-            let k = sched.pressure_list[i] as usize;
-            let p = pressure[k] / 2 + members[k].len() as u64;
-            pressure[k] = p;
-            if p == 0 {
-                sched.pressure_flag[k] = false;
-                sched.pressure_list.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
+        let (pressure, members) = (&mut self.pressure, &self.members);
+        self.sched.pressured.retain(|k| {
+            let k = k as usize;
+            pressure[k] = pressure[k] / 2 + members[k].len() as u64;
+            pressure[k] != 0
+        });
     }
 
     /// Counts the distinct cells this round's phases ran on and publishes
@@ -1796,42 +1820,14 @@ impl Engine {
             sched,
             sched_metrics,
             front,
-            alloc_events,
             ..
         } = self;
-        sched.touch.begin();
-        for i in 0..sched.route_now.list.len() {
-            let k = sched.route_now.list[i];
-            sched.touch.insert(k, alloc_events);
-        }
-        for i in 0..sched.sig_now.list.len() {
-            let k = sched.sig_now.list[i];
-            sched.touch.insert(k, alloc_events);
-        }
-        for i in 0..sched.move_list.len() {
-            let k = sched.move_list[i];
-            sched.touch.insert(k, alloc_events);
-        }
-        sched.last_active = sched.touch.list.len();
+        sched.last_active = union_len(&sched.route_now, &sched.sig_now, &sched.occupied);
         if let Some(m) = sched_metrics {
             m.active_cells.set(sched.last_active as i64);
             m.skipped_cells
                 .add((front.len() - sched.last_active) as u64);
         }
-    }
-
-    /// The sorted (ascending `CellId`) neighbor candidates selected by
-    /// `mask` on cell `k`.
-    fn mask_candidates(&self, k: usize, mask: u8) -> ([CellId; 4], usize) {
-        let mut cands = [self.topo.ids[k]; 4];
-        let mut cn = 0;
-        for &s in &SORTED_SLOTS {
-            if mask & (1 << s) != 0 {
-                cands[cn] = self.topo.nbr_id[k][s];
-                cn += 1;
-            }
-        }
-        (cands, cn)
     }
 
     /// `Route` (Figure 4): writes the routed registers into `back`; the
@@ -1975,9 +1971,9 @@ impl Engine {
             insert_member(&mut self.members[si], eid, pos, &mut self.alloc_events);
             push_tracked(&mut self.events.inserted, (s, eid), &mut self.alloc_events);
             if sparse {
-                self.changed.insert(si as u32, &mut self.alloc_events);
+                self.changed.insert(si as u32);
                 if was_empty {
-                    note_occupied(&mut self.sched, &self.topo, si as u32, &mut self.alloc_events);
+                    note_occupied(&mut self.sched, &self.topo, si as u32);
                 }
             }
         }
@@ -2042,23 +2038,16 @@ impl Engine {
 }
 
 /// Entities appeared in a previously empty cell: fold it into the occupancy
-/// and pressure lists and mark its neighbors — their requester masks read
+/// and pressure sets and mark its neighbors — their requester masks read
 /// this cell's emptiness next round.
-fn note_occupied(sched: &mut Sched, topo: &NeighborTable, k: u32, allocs: &mut u64) {
-    let ku = k as usize;
-    for &ni in &topo.nbr_idx[ku] {
+fn note_occupied(sched: &mut Sched, topo: &NeighborTable, k: u32) {
+    for &ni in &topo.nbr_idx[k as usize] {
         if ni != NO_NBR {
-            sched.sig_next.insert(ni, allocs);
+            sched.sig_next.insert(ni);
         }
     }
-    if !sched.occupied[ku] {
-        sched.occupied[ku] = true;
-        push_tracked(&mut sched.occupied_list, k, allocs);
-    }
-    if !sched.pressure_flag[ku] {
-        sched.pressure_flag[ku] = true;
-        push_tracked(&mut sched.pressure_list, k, allocs);
-    }
+    sched.occupied.insert(k);
+    sched.pressured.insert(k);
 }
 
 /// One worker's sparse `Route` sweep: kernel results for the cells in `ks`
@@ -2690,6 +2679,158 @@ mod tests {
             sys.step();
             state = next;
             assert_eq!(sys.state(), &state, "diverged after clear at step {step}");
+        }
+    }
+
+    /// Scattered, repeated insertions into an `n`-cell set, with the
+    /// reference membership kept in a `BTreeSet`.
+    fn scattered(n: usize) -> (MarkSet, BTreeSet<u32>) {
+        let mut set = MarkSet::with_cells(n);
+        let mut want = BTreeSet::new();
+        for i in 0..2 * n as u64 {
+            let k = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) % n as u64;
+            if i % 3 != 0 {
+                set.insert(k as u32);
+                want.insert(k as u32);
+            }
+        }
+        (set, want)
+    }
+
+    fn scanned(set: &mut MarkSet) -> Vec<u32> {
+        set.scan(&mut 0);
+        set.list.clone()
+    }
+
+    /// Cell counts that end mid-word (23² = 529), span a second summary
+    /// word (70² = 4900) or sit on word and summary boundaries.
+    const MARK_SET_SIZES: [usize; 7] = [1, 63, 64, 23 * 23, 4096, 4097, 70 * 70];
+
+    #[test]
+    fn mark_set_scans_ascending_and_duplicate_free() {
+        for n in MARK_SET_SIZES {
+            let (mut set, want) = scattered(n);
+            let got = scanned(&mut set);
+            assert_eq!(got, want.iter().copied().collect::<Vec<_>>(), "n = {n}");
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "n = {n}");
+        }
+        let mut set = MarkSet::with_cells(70 * 70);
+        for k in [4899, 0, 4095, 4096, 63, 64, 4899, 0] {
+            set.insert(k);
+        }
+        assert_eq!(scanned(&mut set), [0, 63, 64, 4095, 4096, 4899]);
+    }
+
+    #[test]
+    fn mark_set_begin_clears_the_set() {
+        for n in MARK_SET_SIZES {
+            let (mut set, _) = scattered(n);
+            scanned(&mut set);
+            set.begin();
+            assert!(set.list.is_empty(), "n = {n}");
+            assert!(scanned(&mut set).is_empty(), "n = {n}");
+            assert!(set.bits.iter().chain(&set.summary).all(|&w| w == 0));
+            set.insert(n as u32 - 1);
+            assert_eq!(scanned(&mut set), [n as u32 - 1], "n = {n}");
+        }
+    }
+
+    #[test]
+    fn mark_set_retain_removes_cells_and_their_summary_bits() {
+        for n in MARK_SET_SIZES {
+            let (mut set, mut want) = scattered(n);
+            let victim = *want.iter().nth(want.len() / 2).expect("nonempty");
+            set.retain(|k| k != victim);
+            want.remove(&victim);
+            assert_eq!(scanned(&mut set), want.iter().copied().collect::<Vec<_>>());
+            // Dropping the odd cells through a filtered scan.
+            set.scan_retain(|k| k % 2 == 0, &mut 0);
+            want.retain(|k| k % 2 == 0);
+            assert_eq!(set.list, want.iter().copied().collect::<Vec<_>>());
+            assert_eq!(scanned(&mut set), set.list.clone());
+            // Emptying every word leaves no summary bit behind.
+            set.retain(|_| false);
+            assert!(set.bits.iter().chain(&set.summary).all(|&w| w == 0));
+        }
+    }
+
+    #[test]
+    fn mark_set_fill_all_covers_exactly_the_grid() {
+        for n in MARK_SET_SIZES {
+            let mut set = MarkSet::with_cells(n);
+            set.fill_all();
+            assert_eq!(
+                scanned(&mut set),
+                (0..n as u32).collect::<Vec<_>>(),
+                "n = {n}"
+            );
+            let empty = MarkSet::with_cells(n);
+            assert_eq!(union_len(&set, &empty, &empty), n, "n = {n}");
+            set.begin();
+            assert!(scanned(&mut set).is_empty(), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn union_len_counts_distinct_cells_across_three_sets() {
+        for n in MARK_SET_SIZES {
+            let (a, wa) = scattered(n);
+            let mut b = MarkSet::with_cells(n);
+            let mut c = MarkSet::with_cells(n);
+            let mut want = wa.clone();
+            for k in (0..n as u32).step_by(5) {
+                b.insert(k);
+                want.insert(k);
+            }
+            c.insert(n as u32 - 1);
+            want.insert(n as u32 - 1);
+            assert_eq!(union_len(&a, &b, &c), want.len(), "n = {n}");
+        }
+    }
+
+    /// The merging-corridor shape: sources on every other boundary cell,
+    /// all draining to the centre, so about half the grid is active.
+    fn dense_merge_config(n: u16) -> SystemConfig {
+        let mut sources = Vec::new();
+        for k in (0..n).step_by(2) {
+            sources.extend([
+                CellId::new(0, k),
+                CellId::new(n - 1, k),
+                CellId::new(k, 0),
+                CellId::new(k, n - 1),
+            ]);
+        }
+        SystemConfig::new(
+            GridDims::square(n),
+            CellId::new(n / 2, n / 2),
+            Params::from_milli(250, 50, 200).unwrap(),
+        )
+        .unwrap()
+        .with_sources(sources)
+    }
+
+    #[test]
+    fn active_cells_is_the_union_of_the_phase_work_lists() {
+        for n in [23u16, 70] {
+            let mut engine = Engine::new(dense_merge_config(n));
+            for round in 0..150 {
+                engine.step();
+                let s = &engine.sched;
+                let union: BTreeSet<u32> = s
+                    .route_now
+                    .list
+                    .iter()
+                    .chain(&s.sig_now.list)
+                    .chain(&s.occupied.list)
+                    .copied()
+                    .collect();
+                assert_eq!(engine.active_cells(), union.len(), "n = {n}, round {round}");
+            }
+            let half = usize::from(n) * usize::from(n) / 4;
+            assert!(
+                engine.active_cells() > half,
+                "n = {n}: the merge keeps a dense active set"
+            );
         }
     }
 }

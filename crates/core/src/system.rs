@@ -529,15 +529,16 @@ impl System {
 
     /// Executes one `update` transition (one synchronous round) and returns
     /// what happened.
-    pub fn step(&mut self) -> RoundEvents {
+    pub fn step(&mut self) -> &RoundEvents {
         self.engine.set_round(self.round);
-        let events = self.engine.step().clone();
+        self.engine.step();
         let n = self.state.cells.len();
         for k in CellScope::new(self.engine.changed_cells(), n) {
             self.engine.store_cell(k, &mut self.state.cells[k]);
         }
         self.state.next_entity_id = self.engine.next_entity_id();
         self.round += 1;
+        let events = self.engine.events();
         self.consumed_total += events.consumed.len() as u64;
         self.inserted_total += events.inserted.len() as u64;
         events

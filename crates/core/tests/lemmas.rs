@@ -88,7 +88,7 @@ fn lemma8_granted_movement_makes_progress() {
             sys.recover(CellId::new(1, 3));
         }
         let before = sys.state().clone();
-        let ev = sys.step();
+        let ev = sys.step().clone();
         let dims = sys.config().dims();
         for &mover in &ev.moved {
             // Move acts on the `next` computed by Route within the same

@@ -231,7 +231,7 @@ impl Simulation {
     /// With safety checks enabled, panics if `Safe`, Invariant 1, or
     /// Invariant 2 is violated after the round — which the protocol
     /// guarantees never happens (Theorem 5); a panic here is a bug.
-    pub fn step(&mut self) -> RoundEvents {
+    pub fn step(&mut self) -> &RoundEvents {
         let round = self.system.round();
         let mut partitioned = false;
         if let Some(schedule) = &self.partition {
@@ -239,19 +239,14 @@ impl Simulation {
             partitioned = schedule.active(round);
         }
         let failures = self.failure.apply(&mut self.system, round);
-        let events = match &self.telemetry {
-            None => self.system.step(),
-            Some(tel) => {
-                let span = tel.round_ns.start();
-                let events = self.system.step();
-                drop(span);
-                events
-            }
-        };
-        self.metrics.record(&events);
+        let span = self.telemetry.as_ref().map(|tel| tel.round_ns.start());
+        self.system.step();
+        drop(span);
+        let events = self.system.engine().events();
+        self.metrics.record(events);
         self.metrics.record_failures(&failures);
         if let Some(tr) = &mut self.trace {
-            tr.record(round, &failures, &events);
+            tr.record(round, &failures, events);
         }
         let fresh_violations = self.violations.len();
         if !self.monitors.is_empty() {
@@ -282,13 +277,13 @@ impl Simulation {
                 None => tel.observe_round(
                     round + 1,
                     &failures,
-                    &events,
+                    events,
                     &self.violations[fresh_violations..],
                 ),
                 Some(tracer) => tel.observe_round_traced(
                     round + 1,
                     &failures,
-                    &events,
+                    events,
                     &self.violations[fresh_violations..],
                     tracer,
                     self.system.round_trace(),
